@@ -100,11 +100,31 @@ class FeatureArchive:
         return PssVector(self.features[i].copy(), self.layout)
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """Packed archive record: class index, NUL-padded UTF-8 id, features."""
+    return np.dtype([("label", "<u4"), ("id", f"S{_ID_BYTES}"), ("features", "<f8", (dim,))])
+
+
+def _stored_id(ident: str) -> str:
+    """The id as load_archive returns it: cut to _ID_BYTES on a character boundary."""
+    return ident.encode("utf-8")[:_ID_BYTES].decode("utf-8", "ignore").rstrip("\0")
+
+
 def save_archive(arch: FeatureArchive, path) -> None:
     p = arch.params
     n, dim = arch.features.shape
     if dim != pss_dim(p):
         raise ValueError(f"feature width {dim} does not match parameters")
+    labels = np.asarray(arch.labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= len(arch.classes)):
+        raise ValueError("labels must index the class list")
+    cut = [_stored_id(ident) for ident in arch.ids]
+    owner = {}
+    for ident, key in zip(arch.ids, cut):
+        first = owner.setdefault(key, ident)
+        if first != ident:
+            raise ValueError(f"image ids {first!r} and {ident!r} collide when cut "
+                             f"to {_ID_BYTES} UTF-8 bytes")
     head = [ARCHIVE_MAGIC,
             struct.pack("<IIIIII", ARCHIVE_VERSION, p.n_scales, p.n_orientations,
                         p.neighborhood, dim, n),
@@ -112,12 +132,11 @@ def save_archive(arch: FeatureArchive, path) -> None:
     for name in arch.classes:
         enc = name.encode("utf-8")
         head.append(struct.pack("<H", len(enc)) + enc)
-    recs = []
-    for i in range(n):
-        ident = arch.ids[i].encode("utf-8")[:_ID_BYTES].ljust(_ID_BYTES, b"\0")
-        recs.append(struct.pack("<I", int(arch.labels[i])) + ident
-                    + arch.features[i].astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(head) + b"".join(recs))
+    recs = np.zeros(n, _record_dtype(dim))
+    recs["label"] = labels
+    recs["id"] = [key.encode("utf-8") for key in cut]
+    recs["features"] = arch.features
+    Path(path).write_bytes(b"".join(head) + recs.tobytes())
 
 
 def load_archive(path) -> FeatureArchive:
@@ -140,17 +159,12 @@ def load_archive(path) -> FeatureArchive:
         pos += 2
         classes.append(buf[pos:pos + ln].decode("utf-8"))
         pos += ln
-    rec = 4 + _ID_BYTES + 8 * dim
-    if len(buf) != pos + rec * count:
+    rec = _record_dtype(dim)
+    if len(buf) != pos + rec.itemsize * count:
         raise ValueError(f"corrupt container: expected {count} records")
-    labels = np.empty(count, dtype=np.int32)
-    ids = []
-    features = np.empty((count, dim))
-    for i in range(count):
-        (labels[i],) = struct.unpack_from("<I", buf, pos)
-        ids.append(buf[pos + 4:pos + 4 + _ID_BYTES].rstrip(b"\0").decode("utf-8"))
-        features[i] = np.frombuffer(buf, "<f8", dim, pos + 4 + _ID_BYTES)
-        pos += rec
-    if labels.size and (labels.min() < 0 or labels.max() >= len(classes)):
+    recs = np.frombuffer(buf, rec, count, pos)
+    if count and recs["label"].max() >= len(classes):
         raise ValueError("corrupt container: label out of range")
-    return FeatureArchive(params, classes, labels, ids, features)
+    return FeatureArchive(params, classes, recs["label"].astype(np.int32),
+                          [b.decode("utf-8") for b in recs["id"]],
+                          recs["features"].astype(np.float64))

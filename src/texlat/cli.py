@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -207,27 +208,19 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # eval
 
-_EVAL_CTX = None  # (model, base config, patch size); inherited by forked workers
-
-
-def _eval_one(task):
+def _eval_one(model, cfg, patch, task):
     index, image_id, img = task
-    model, cfg, patch = _EVAL_CTX
     run_cfg = replace(cfg, seed=cfg.seed + index, size=img.shape[0])
     score, rel, count = synthesis.evaluate_image(model, img, run_cfg, patch)
     return synthesis.EvalRow(image_id, score, rel, count)
 
 
 def _eval_rows(model, items, args):
-    global _EVAL_CTX
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
-    _EVAL_CTX = (model, cfg, args.patch_size)
-    try:
-        return _pmap(_eval_one,
-                     [(i, ident, img) for i, (ident, img) in enumerate(items)],
-                     args.jobs)
-    finally:
-        _EVAL_CTX = None
+    # the partial carries the context to workers under every start method
+    return _pmap(partial(_eval_one, model, cfg, args.patch_size),
+                 [(i, ident, img) for i, (ident, img) in enumerate(items)],
+                 args.jobs)
 
 
 def cmd_eval(args) -> int:

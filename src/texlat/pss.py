@@ -258,22 +258,11 @@ def _corr_matrix(za, vara, oka, zb=None, varb=None, okb=None):
     return rho
 
 
-def _corr_block_backward(z, var, ok, rho, g):
-    """Cotangents for all-pairs correlations of one stack, rows as images."""
-    n = z.shape[1]
-    s = g + g.T
-    sig = np.sqrt(np.where(ok, var, 1.0))
-    w = s / np.outer(sig, sig)
-    w[~ok, :] = 0.0
-    w[:, ~ok] = 0.0
-    ridge = (s * rho).sum(axis=1) / np.where(ok, var, 1.0)
-    cot = (w @ z - ridge[:, None] * z) / n
-    cot[~ok] = 0.0
-    return cot
-
-
 def _corr_cross_backward(za, vara, oka, zb, varb, okb, rho, g):
-    """Cotangents for correlations between two stacks; g aligns with rho."""
+    """Cotangents for correlations between two stacks; g aligns with rho.
+
+    Passing one stack as both gives its all-pairs cotangent as cota + cotb.
+    """
     n = za.shape[1]
     siga = np.sqrt(np.where(oka, vara, 1.0))
     sigb = np.sqrt(np.where(okb, varb, 1.0))
@@ -287,6 +276,19 @@ def _corr_cross_backward(za, vara, oka, zb, varb, okb, rho, g):
     return cota, cotb
 
 
+def _c67_index(n_sc, n_or):
+    """(rows, cols) into rho20 of every C6 then C7 entry, in vector order.
+
+    Row lev*K + k of the reconstruction stack is orientation k at level
+    lev (0-based), the oriented low-pass split being level N.
+    """
+    pos = np.arange((n_sc + 1) * n_or).reshape(n_sc + 1, n_or)
+    rows6, cols6 = np.broadcast_arrays(pos[:, :, None], pos[:, None, :])
+    rows7, cols7 = np.broadcast_arrays(pos[:n_sc, None, :, None], pos[None, :, None, :])
+    return (np.concatenate([rows6.ravel(), rows7.ravel()]),
+            np.concatenate([cols6.ravel(), cols7.ravel()]))
+
+
 # --------------------------------------------------------------------------
 # forward pass
 
@@ -294,8 +296,9 @@ class _Cache:
     """Everything the backward pass needs from one forward evaluation."""
 
     __slots__ = ("params", "size", "stack", "img", "recons", "scales", "low",
-                 "high", "oriented", "bands", "mags", "upmags", "aux3", "aux4",
-                 "stack20", "rho20", "mag_stats", "rho5", "cross", "values")
+                 "high", "oriented", "bands", "mags", "upmags", "aux1", "aux3",
+                 "aux4", "stack20", "rho20", "idx67", "mag_stats", "rho5",
+                 "cross", "values")
 
 
 def _forward(img, params: PssParams):
@@ -333,8 +336,8 @@ def _forward(img, params: PssParams):
 
     values = []
 
-    skew, kurt, (_, var, _, _) = _skew_kurt(a)
-    values += [a.mean(), var, skew, kurt, a.min(), a.max()]
+    skew, kurt, cc.aux1 = _skew_kurt(a)
+    values += [a.mean(), cc.aux1[1], skew, kurt, a.min(), a.max()]
 
     sk_aux = []
     level_imgs = cc.scales + [cc.low]
@@ -367,16 +370,8 @@ def _forward(img, params: PssParams):
     flat = [im for level in cc.recons for im in level] + cc.oriented
     cc.stack20 = _center_stack(flat)
     cc.rho20 = _corr_matrix(*cc.stack20)
-    idx = lambda lev, k: (lev - 1) * n_or + k if lev <= n_sc else n_sc * n_or + k
-    for lev in range(1, n_sc + 2):
-        for ka in range(n_or):
-            for kb in range(n_or):
-                values.append(cc.rho20[idx(lev, ka), idx(lev, kb)])
-    for sc in range(1, n_sc + 1):
-        for lev in range(1, n_sc + 2):
-            for ka in range(n_or):
-                for kb in range(n_or):
-                    values.append(cc.rho20[idx(sc, ka), idx(lev, kb)])
+    cc.idx67 = _c67_index(n_sc, n_or)
+    values += cc.rho20[cc.idx67].tolist()
 
     cc.cross = {}
     for coarse in range(2, n_sc + 1):
@@ -437,19 +432,12 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     cot_mag = [[np.zeros_like(mg) for mg in level] for level in cc.mags]
 
     # C1: raw-pixel moments and extrema
-    a = cc.img
-    c = a - a.mean()
-    var = np.mean(c * c)
     grad += g[0][0] / npix
-    grad += g[0][1] * (2.0 / npix) * c
-    if var >= VAR_EPS:
-        m3, m4 = np.mean(c ** 3), np.mean(c ** 4)
-        sk, ku = m3 / var ** 1.5, m4 / var ** 2
-        grad += g[0][2] * (3.0 / npix) * ((c * c - var) / var ** 1.5 - sk * c / var)
-        grad += g[0][3] * (4.0 / npix) * ((c ** 3 - m3) / var ** 2 - ku * c / var)
+    grad += g[0][1] * (2.0 / npix) * cc.aux1[0]
+    grad += _skew_kurt_backward(cc.aux1, g[0][2], g[0][3])
     flat = grad.ravel()
-    flat[np.argmin(a)] += g[0][4]
-    flat[np.argmax(a)] += g[0][5]
+    flat[np.argmin(cc.img)] += g[0][4]
+    flat[np.argmax(cc.img)] += g[0][5]
 
     # C2 + C4 share the per-level images
     cot_levels = [cot_scale[i] for i in range(n_sc)] + [cot_low]
@@ -472,8 +460,8 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     g8 = g[7].reshape(n_sc, n_sc, n_or, n_or)
     for n in range(n_sc):
         gm = g5[n] + g8[n, n]
-        z, v, ok = cc.mag_stats[n]
-        cot = _corr_block_backward(z, v, ok, cc.rho5[n], gm)
+        st = cc.mag_stats[n]
+        cot = np.add(*_corr_cross_backward(*st, *st, cc.rho5[n], gm))
         for k in range(n_or):
             cot_mag[n][k] += cot[k].reshape(cc.mags[n][k].shape)
 
@@ -492,26 +480,14 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
                     cotb[k].reshape(side, side), small)
 
     # C6 + C7 share the unified reconstruction stack
-    idx = lambda lev, k: (lev - 1) * n_or + k if lev <= n_sc else n_sc * n_or + k
     g20 = np.zeros_like(cc.rho20)
-    g6 = g[5].reshape(n_sc + 1, n_or, n_or)
-    for lev in range(1, n_sc + 2):
-        for ka in range(n_or):
-            for kb in range(n_or):
-                g20[idx(lev, ka), idx(lev, kb)] += g6[lev - 1, ka, kb]
-    g7 = g[6].reshape(n_sc, n_sc + 1, n_or, n_or)
-    for sc in range(1, n_sc + 1):
-        for lev in range(1, n_sc + 2):
-            for ka in range(n_or):
-                for kb in range(n_or):
-                    g20[idx(sc, ka), idx(lev, kb)] += g7[sc - 1, lev - 1, ka, kb]
-    z, v, ok = cc.stack20
-    cot20 = _corr_block_backward(z, v, ok, cc.rho20, g20)
+    np.add.at(g20, cc.idx67, np.concatenate([g[5], g[6]]))
+    cot20 = np.add(*_corr_cross_backward(*cc.stack20, *cc.stack20, cc.rho20, g20))
     for n in range(n_sc):
         for k in range(n_or):
-            cot_recon[n][k] += cot20[idx(n + 1, k)].reshape(size, size)
+            cot_recon[n][k] += cot20[n * n_or + k].reshape(size, size)
     for k in range(n_or):
-        cot_oriented[k] += cot20[idx(n_sc + 1, k)].reshape(size, size)
+        cot_oriented[k] += cot20[n_sc * n_or + k].reshape(size, size)
 
     # C9 means, C10 high-pass variance
     g9 = g[8]

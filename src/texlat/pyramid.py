@@ -1,10 +1,13 @@
 """Frequency-domain steerable filter pyramid.
 
 A square power-of-two image is split by a radial high-pass/low-pass pair
-at full resolution, then recursively decomposed into K oriented complex
-band-pass grids per scale with 2x frequency-domain downsampling between
-scales. The filters form a tight frame, so `collapse` inverts
-`build_pyramid` to floating-point precision.
+at full resolution, then decomposed into K oriented complex band-pass
+grids per scale, scale n+1 sampled at side/2^n. `TransferStack` holds every
+filter as one full-resolution transfer (the product of the per-level
+filters), so each band is that transfer times the image spectrum followed
+by one central crop. The filters form a tight frame, so synthesis is a
+weighted adjoint of analysis and `collapse` inverts `build_pyramid` to
+floating-point precision.
 
 Transfer functions (polar frequency coordinates, r in radians):
 
@@ -24,9 +27,9 @@ the cosine segment; they make H(r)^2 + (L(r)/2)^2 = 1 hold identically,
 which is what perfect reconstruction rests on.
 
 Conventions: forward FFT unscaled, inverse scaled by 1/(s*s); all filter
-grids are stored in fftshift layout; downsampling crops the central
-half-band (with a 1/4 scale so it equals ideal decimation of band-limited
-content); the DC sample routes entirely to the low-pass path.
+grids are stored in fftshift layout; reaching scale n+1 crops the central
+1/2^n of the spectrum (with a 1/4^n scale so it equals ideal decimation of
+band-limited content); the DC sample routes entirely to the low-pass path.
 """
 
 from __future__ import annotations
@@ -121,36 +124,6 @@ def _freq_grid(size: int):
     return np.hypot(wx, wy), np.arctan2(wy, wx)
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """Per-level filter grids for one (size, params) combination."""
-
-    size: int
-    params: PyramidParams
-    lowpass0: np.ndarray
-    highpass0: np.ndarray
-    lowpass: tuple[np.ndarray, ...]  # L/2 on each level grid
-    bands: tuple[tuple[np.ndarray, ...], ...]  # B_k on each level grid
-
-
-@lru_cache(maxsize=16)
-def _bank(size: int, n_scales: int, n_orientations: int) -> FilterBank:
-    params = PyramidParams(n_scales, n_orientations)
-    r0, _ = _freq_grid(size)
-    low0 = radial_lowpass(r0 / 2.0) / 2.0
-    high0 = radial_highpass(r0 / 2.0)
-    lows, bands = [], []
-    for n in range(n_scales):
-        r, th = _freq_grid(size >> n)
-        lows.append(radial_lowpass(r) / 2.0)
-        g = tuple(radial_highpass(r) * angular_gain(k, n_orientations, th)
-                  for k in range(n_orientations))
-        bands.append(g)
-    for a in (low0, high0, *lows, *(b for lv in bands for b in lv)):
-        a.flags.writeable = False
-    return FilterBank(size, params, low0, high0, tuple(lows), tuple(bands))
-
-
 def _validate_geometry(size: int, n_scales: int) -> None:
     if size < 2 or size & (size - 1):
         raise ValueError(f"image side must be a power of two, got {size}")
@@ -160,28 +133,20 @@ def _validate_geometry(size: int, n_scales: int) -> None:
             f"{size} px image; need at least {MIN_COARSE_SIZE} px")
 
 
-def _decimate(spec: np.ndarray) -> np.ndarray:
-    """Exact half-band decimation: central crop scaled by 1/4."""
-    q = spec.shape[0] // 4
-    return spec[q:3 * q, q:3 * q] * 0.25
+def _crop(spec: np.ndarray, small: int) -> np.ndarray:
+    """Central small x small block of an fftshifted spectrum."""
+    q = (spec.shape[0] - small) // 2
+    return spec[q:q + small, q:q + small]
 
 
-def _interpolate(spec: np.ndarray) -> np.ndarray:
-    """Exact 2x band-limited interpolation: zero-pad scaled by 4."""
-    s = spec.shape[0]
-    out = np.zeros((2 * s, 2 * s), dtype=spec.dtype)
-    out[s // 2:3 * s // 2, s // 2:3 * s // 2] = spec * 4.0
+def _pad(spec: np.ndarray, size: int) -> np.ndarray:
+    """Zero-pad an fftshifted spectrum about its center to size x size."""
+    small = spec.shape[0]
+    if small == size:
+        return spec
+    out = np.zeros((size, size), dtype=spec.dtype)
+    _crop(out, small)[...] = spec
     return out
-
-
-def _mirror(spec: np.ndarray) -> np.ndarray:
-    """Map each frequency sample to its negated frequency, conjugated."""
-    return np.conj(np.roll(spec[::-1, ::-1], 1, axis=(0, 1)))
-
-
-def _symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Hermitian completion of half-plane band content: Z + conj(Z(-w))."""
-    return spec + _mirror(spec)
 
 
 def _fft(img: np.ndarray) -> np.ndarray:
@@ -197,56 +162,41 @@ def build_pyramid(img, params: PyramidParams) -> Pyramid:
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"pyramid input must be square, got shape {a.shape}")
-    size = a.shape[0]
-    _validate_geometry(size, params.n_scales)
-    bank = _bank(size, params.n_scales, params.n_orientations)
-
+    stack = transfer_stack(a.shape[0], params.n_scales, params.n_orientations)
     spec = _fft(a)
-    high = _ifft(bank.highpass0 * spec).real
-    cur = bank.lowpass0 * spec
-    bands = []
-    for n in range(params.n_scales):
-        bands.append([_ifft(b * cur) for b in bank.bands[n]])
-        cur = _decimate(bank.lowpass[n] * cur)
-    low = _ifft(cur).real
-    return Pyramid(params, size, bands, low, high)
+    bands = [[stack.band_grid(spec, n, k) for k in range(params.n_orientations)]
+             for n in range(1, params.n_scales + 1)]
+    return Pyramid(params, a.shape[0], bands, stack.low_grid(spec),
+                   _ifft(stack.highpass0 * spec).real)
 
 
 def collapse(pyr: Pyramid) -> np.ndarray:
     """Exact synthesis back to the source resolution."""
     params = pyr.params
-    bank = _bank(pyr.size, params.n_scales, params.n_orientations)
     expect = pyr.size >> params.n_scales
     if pyr.lowpass_residual.shape != (expect, expect):
         raise ValueError(
             f"low-pass residual shape {pyr.lowpass_residual.shape} does not "
             f"match {expect}x{expect}")
-
-    spec = _fft(pyr.lowpass_residual)
-    for n in range(params.n_scales - 1, -1, -1):
+    out = reconstruct_lowpass(pyr) + reconstruct_highpass(pyr)
+    for n in range(params.n_scales):
         level = pyr.size >> n
-        spec = bank.lowpass[n] * _interpolate(spec)
         for k, band in enumerate(pyr.bands[n]):
             if band.shape != (level, level):
                 raise ValueError(
                     f"band ({n + 1},{k}) shape {band.shape} does not match "
                     f"{level}x{level}")
-            spec += _symmetrize(bank.bands[n][k] * _fft(band))
-    out = bank.lowpass0 * spec + bank.highpass0 * _fft(pyr.highpass_residual)
-    return _ifft(out).real
-
-
-def _lift(spec: np.ndarray, bank: FilterBank, from_scale: int) -> np.ndarray:
-    """Carry a level-`from_scale` spectrum up the synthesis chain."""
-    for m in range(from_scale - 1, -1, -1):
-        spec = bank.lowpass[m] * _interpolate(spec)
-    return np.fft.ifft2(np.fft.ifftshift(bank.lowpass0 * spec)).real
+            out += reconstruct_band(pyr, n + 1, k)
+    return out
 
 
 def reconstruct_band(pyr: Pyramid, scale: int, orientation: int) -> np.ndarray:
     """Back-project one band through the synthesis path, others zeroed.
 
     `scale` is 1-based (1 = finest); returns a real full-resolution image.
+    Synthesis is the analysis adjoint weighted by 2 (the adjoint keeps the
+    real part, half of the Hermitian completion of the half-plane band)
+    and by 4^(scale-1) (undoing the decimation scale of band_grid).
     """
     params = pyr.params
     if not 1 <= scale <= params.n_scales:
@@ -254,22 +204,21 @@ def reconstruct_band(pyr: Pyramid, scale: int, orientation: int) -> np.ndarray:
     if not 0 <= orientation < params.n_orientations:
         raise IndexError(
             f"orientation {orientation} out of range 0..{params.n_orientations - 1}")
-    bank = _bank(pyr.size, params.n_scales, params.n_orientations)
-    spec = _symmetrize(bank.bands[scale - 1][orientation]
-                       * _fft(pyr.bands[scale - 1][orientation]))
-    return _lift(spec, bank, scale - 1)
+    stack = transfer_stack(pyr.size, params.n_scales, params.n_orientations)
+    band = pyr.bands[scale - 1][orientation]
+    return 2.0 * 4.0 ** (scale - 1) * stack.band_grid_adjoint(band, scale, orientation)
 
 
 def reconstruct_lowpass(pyr: Pyramid) -> np.ndarray:
     """Back-project the low-pass residual to full resolution."""
-    bank = _bank(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
-    return _lift(_fft(pyr.lowpass_residual), bank, pyr.params.n_scales)
+    stack = transfer_stack(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
+    return 4.0 ** pyr.params.n_scales * stack.low_grid_adjoint(pyr.lowpass_residual)
 
 
 def reconstruct_highpass(pyr: Pyramid) -> np.ndarray:
     """Back-project the high-pass residual to full resolution."""
-    bank = _bank(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
-    return _ifft(bank.highpass0 * _fft(pyr.highpass_residual)).real
+    stack = transfer_stack(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
+    return stack.filter_image(pyr.highpass_residual, stack.highpass0)
 
 
 class TransferStack:
@@ -330,23 +279,25 @@ class TransferStack:
         the per-level central crops collapses into one crop here.
         """
         n = scale - 1
-        z = self.band_analysis[n][orientation] * spec
-        if n:
-            small = self.size >> n
-            q = (self.size - small) // 2
-            z = z[q:q + small, q:q + small] * 0.25 ** n
+        z = _crop(self.band_analysis[n][orientation] * spec, self.size >> n)
+        z *= 0.25 ** n  # in place: z views a temporary
         return _ifft(z)
 
     def band_grid_adjoint(self, cot: np.ndarray, scale: int, orientation: int) -> np.ndarray:
         """Adjoint of band_grid for a complex cotangent grid."""
-        n = scale - 1
-        spec = _fft(cot)
-        if n:
-            full = np.zeros((self.size, self.size), dtype=spec.dtype)
-            q = (self.size - spec.shape[0]) // 2
-            full[q:q + spec.shape[0], q:q + spec.shape[0]] = spec
-            spec = full
-        return _ifft(self.band_analysis[n][orientation] * spec).real
+        spec = _pad(_fft(cot), self.size)
+        return _ifft(self.band_analysis[scale - 1][orientation] * spec).real
+
+    def low_grid(self, spec: np.ndarray) -> np.ndarray:
+        """Real low-pass residual at the coarsest resolution, one crop as in band_grid."""
+        n = self.params.n_scales
+        z = _crop(self.low_analysis * spec, self.size >> n)
+        z *= 0.25 ** n
+        return _ifft(z).real
+
+    def low_grid_adjoint(self, cot: np.ndarray) -> np.ndarray:
+        """Adjoint of low_grid for a real cotangent grid."""
+        return _ifft(self.low_analysis * _pad(_fft(cot), self.size)).real
 
 
 @lru_cache(maxsize=16)
@@ -361,18 +312,11 @@ def upsample_to(img: np.ndarray, size: int) -> np.ndarray:
         return img
     if size < small or size % small:
         raise ValueError(f"cannot upsample {small} -> {size}")
-    spec = _fft(img)
-    out = np.zeros((size, size), dtype=spec.dtype)
-    q = (size - small) // 2
-    out[q:q + small, q:q + small] = spec * (size / small) ** 2
-    return _ifft(out).real
+    return _ifft(_pad(_fft(img) * (size / small) ** 2, size)).real
 
 
 def upsample_to_adjoint(cot: np.ndarray, small: int) -> np.ndarray:
     """Adjoint of upsample_to: central spectral crop, no rescaling."""
-    size = cot.shape[0]
-    if size == small:
+    if cot.shape[0] == small:
         return cot
-    spec = _fft(cot)
-    q = (size - small) // 2
-    return _ifft(spec[q:q + small, q:q + small]).real
+    return _ifft(_crop(_fft(cot), small)).real

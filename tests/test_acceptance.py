@@ -113,6 +113,27 @@ def test_criterion_5_gradient_matches_finite_differences():
              f"max relative gradient error {rel:.2e} over all 256 pixels (<=1e-4)")
 
 
+def test_criterion_5_gradient_directional_derivatives_at_default_parameters():
+    rng = np.random.default_rng(5)
+    params = PssParams()
+    target = pss.extract_pss(rng.standard_normal((64, 64)) * 25 + 120, params)
+    weights = synthesis.default_weights(target)
+    img = rng.standard_normal((64, 64)) * 25 + 120
+
+    analytic = synthesis.pss_gradient(img, target, weights)
+    eps = 1e-3
+    worst = 0.0
+    for _ in range(4):
+        d = rng.standard_normal((64, 64))
+        hi = synthesis.pss_distance(pss.extract_pss(img + eps * d, params), target, weights)
+        lo = synthesis.pss_distance(pss.extract_pss(img - eps * d, params), target, weights)
+        fd = (hi - lo) / (2 * eps)
+        worst = max(worst, abs(np.sum(analytic * d) - fd) / abs(fd))
+    _verdict(5, worst <= 1e-5,
+             f"(4,4,7) at 64 px: max relative directional-derivative error "
+             f"{worst:.2e} over 4 directions (<=1e-5)")
+
+
 def test_criterion_6_synthesis_convergence():
     params = PssParams(3, 4, 7)
     size = 64

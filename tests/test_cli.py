@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ class TestEval:
                        "--jobs", jobs) == 0
             outs.append(report.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_jobs_match_under_start_method(self, trained, tmp_path, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} is not available here")
+        root, _, model_path = trained
+        argv = ["eval", model_path, root, "--size", "32", "--iterations", "1",
+                "--patch-size", "9"]
+        assert run(*argv, "-o", tmp_path / "r1.csv", "--jobs", "1") == 0
+        monkeypatch.setattr(multiprocessing, "Pool",
+                            multiprocessing.get_context(method).Pool)
+        assert run(*argv, "-o", tmp_path / "r2.csv", "--jobs", "2") == 0
+        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
     def test_dim_sweep_rows(self, trained, tmp_path):
         root, arch, model_path = trained

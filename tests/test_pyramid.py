@@ -4,6 +4,27 @@ import pytest
 from texlat import pyramid as P
 
 
+def recursive_analysis(img, n_scales, n_orientations):
+    """Level-by-level reference analysis, independent of TransferStack.
+
+    Each level filters its own grid with L/2 and the oriented bands, then
+    halves the spectrum by a central crop scaled by 1/4; returns the
+    complex bands per scale and the real low-pass residual.
+    """
+    size = img.shape[0]
+    r0, _ = P._freq_grid(size)
+    cur = P.radial_lowpass(r0 / 2.0) / 2.0 * np.fft.fftshift(np.fft.fft2(img))
+    bands = []
+    for n in range(n_scales):
+        r, th = P._freq_grid(size >> n)
+        bands.append([np.fft.ifft2(np.fft.ifftshift(
+            P.radial_highpass(r) * P.angular_gain(k, n_orientations, th) * cur))
+            for k in range(n_orientations)])
+        q = cur.shape[0] // 4
+        cur = (P.radial_lowpass(r) / 2.0 * cur)[q:3 * q, q:3 * q] * 0.25
+    return bands, np.fft.ifft2(np.fft.ifftshift(cur)).real
+
+
 class TestRadialFilters:
     def test_lowpass_branch_values(self):
         assert P.radial_lowpass(np.pi / 4) == 2.0
@@ -77,12 +98,11 @@ class TestBuild:
         img = np.zeros((size, size))
         img[0, 0] = 1.0  # unit spectrum: bands equal their transfer kernels
         pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
-        stack = P.transfer_stack(size, 2, 2)
-        spec = np.fft.fftshift(np.fft.fft2(img))
+        reference, _ = recursive_analysis(img, 2, 2)
         for n in range(1, 3):
             for k in range(2):
-                direct = stack.band_grid(spec, n, k)
-                np.testing.assert_allclose(pyr.bands[n - 1][k], direct, atol=1e-12)
+                np.testing.assert_allclose(pyr.bands[n - 1][k], reference[n - 1][k],
+                                           atol=1e-12)
 
     def test_geometry_errors(self, rng):
         params = P.PyramidParams(2, 4)
@@ -195,13 +215,14 @@ class TestTransferStack:
 
     def test_band_grid_matches_recursive_build(self, rng):
         img = rng.standard_normal((64, 64))
-        pyr = P.build_pyramid(img, P.PyramidParams(3, 4))
+        bands, low = recursive_analysis(img, 3, 4)
         stack = P.transfer_stack(64, 3, 4)
         spec = np.fft.fftshift(np.fft.fft2(img))
         for n in range(1, 4):
             for k in range(4):
                 np.testing.assert_allclose(stack.band_grid(spec, n, k),
-                                           pyr.bands[n - 1][k], atol=1e-10)
+                                           bands[n - 1][k], atol=1e-10)
+        np.testing.assert_allclose(stack.low_grid(spec), low, atol=1e-10)
 
     def test_filter_image_matches_band_reconstruction(self, rng):
         img = rng.standard_normal((32, 32))
@@ -226,6 +247,9 @@ class TestTransferStack:
             lhs = np.sum(w.real * ax.real + w.imag * ax.imag)
             rhs = np.sum(stack.band_grid_adjoint(w, scale, 1) * x)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        w = rng.standard_normal((8, 8))
+        lhs = np.sum(w * stack.low_grid(spec))
+        np.testing.assert_allclose(lhs, np.sum(stack.low_grid_adjoint(w) * x), rtol=1e-12)
 
     def test_upsample_adjoint_pairing(self, rng):
         small = rng.standard_normal((8, 8))
