@@ -143,6 +143,8 @@ def load_archive(path) -> FeatureArchive:
     buf = Path(path).read_bytes()
     if buf[:4] != ARCHIVE_MAGIC:
         raise ValueError(f"corrupt container: {path} is not a feature archive")
+    if len(buf) < 32:
+        raise ValueError(f"corrupt container: {path} has a truncated header")
     ver, nsc, nor, m, dim, count = struct.unpack_from("<IIIIII", buf, 4)
     if ver != ARCHIVE_VERSION:
         raise ValueError(
@@ -155,8 +157,12 @@ def load_archive(path) -> FeatureArchive:
     pos += 4
     classes = []
     for _ in range(n_classes):
+        if pos + 2 > len(buf):
+            raise ValueError(f"corrupt container: {path} has a truncated class list")
         (ln,) = struct.unpack_from("<H", buf, pos)
         pos += 2
+        if pos + ln > len(buf):
+            raise ValueError(f"corrupt container: {path} has a truncated class list")
         classes.append(buf[pos:pos + ln].decode("utf-8"))
         pos += ln
     rec = _record_dtype(dim)

@@ -194,6 +194,9 @@ def load_model(path) -> HppcaModel:
     buf = Path(path).read_bytes()
     if buf[:4] != MODEL_MAGIC:
         raise ValueError(f"corrupt container: {path} is not a model file")
+    pos = 4 + struct.calcsize("<IIIIdII")
+    if len(buf) < pos:
+        raise ValueError(f"corrupt container: {path} has a truncated header")
     ver, n, k, m, thr, d, dim = struct.unpack_from("<IIIIdII", buf, 4)
     if ver != MODEL_VERSION:
         raise ValueError(
@@ -201,7 +204,6 @@ def load_model(path) -> HppcaModel:
     layout = PssLayout.from_params(PssParams(n, k, m))
     if layout.dim != dim:
         raise ValueError("corrupt container: dimension header mismatch")
-    pos = 4 + struct.calcsize("<IIIIdII")
     groups = []
     for size in layout.sizes:
         block, pos = _unpack_block(buf, pos)

@@ -24,11 +24,21 @@ moment conventions throughout):
 
 At the default parameters (4, 4, 7) the vector has 1784 entries.
 
-Every statistic is a smooth function of images that depend linearly on
-the input (plus min/max and magnitudes), so the module also provides the
-exact reverse-mode derivative of any weighting of the statistics with
-respect to the input pixels; `_forward` returns the cache `_backward`
-consumes.
+Every "reconstruction" is the input passed through one real transfer of
+`pyramid.TransferStack`. C3, C4, C6, C7, C9 and C10 are quadratic (C9:
+linear) in such images, so by Wiener-Khinchin they are weighted sums over
+the power spectrum |X|^2 of the centered input: a lag window of a cosine
+transform for C3/C4, a transfer-weighted Gram matrix for C6/C7, DC gains
+for C9. No filtered image is formed for them. C1, the C2 moments of the
+N+1 level images and the C5/C8 band magnitudes are computed in space.
+
+Every statistic is a smooth function of the input (plus min/max and
+magnitudes), so the module also provides the exact reverse-mode
+derivative of any weighting of the statistics with respect to the input
+pixels; `_forward` returns the cache `_backward` consumes. The gradient
+of all quadratic groups is one real weight w on the power spectrum; the
+level and band cotangents join it in the same spectrum, which one
+inverse FFT brings back to pixels.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pyramid
-from .pyramid import PyramidParams
+from .pyramid import PyramidParams, _crop, _fft, _ifft
 
 VAR_EPS = 1e-12  # below this population variance, normalized stats are 0
 
@@ -182,11 +192,12 @@ def column_names(layout: PssLayout) -> list[str]:
 def _skew_kurt(img):
     """(skewness, kurtosis, aux) of one image; zero when degenerate."""
     c = img - img.mean()
-    var = np.mean(c * c)
+    c2 = c * c
+    var = np.mean(c2)
     if var < VAR_EPS:
         return 0.0, 0.0, (c, var, 0.0, 0.0)
-    m3 = np.mean(c ** 3)
-    m4 = np.mean(c ** 4)
+    m3 = np.mean(c2 * c)
+    m4 = np.mean(c2 * c2)
     return m3 / var ** 1.5, m4 / var ** 2, (c, var, m3, m4)
 
 
@@ -197,65 +208,40 @@ def _skew_kurt_backward(aux, g_skew, g_kurt):
     n = c.size
     skew = m3 / var ** 1.5
     kurt = m4 / var ** 2
-    cot = g_skew * (3.0 / n) * ((c * c - var) / var ** 1.5 - skew * c / var)
-    cot += g_kurt * (4.0 / n) * ((c ** 3 - m3) / var ** 2 - kurt * c / var)
+    c2 = c * c
+    cot = g_skew * (3.0 / n) * ((c2 - var) / var ** 1.5 - skew * c / var)
+    cot += g_kurt * (4.0 / n) * ((c2 * c - m3) / var ** 2 - kurt * c / var)
     return cot
 
 
-def _acorr(img, m):
-    """Normalized circular autocorrelation on the centered MxM lag window."""
-    s = img.shape[0]
-    c = img - img.mean()
-    spec = np.fft.fft2(c)
-    cmap = np.fft.ifft2(spec * np.conj(spec)).real  # sum_p c[p] c[p+d]
-    c0 = cmap[0, 0]
+def _lag_basis(size, m):
+    """cos and sin of lag * frequency, (m, size) each, lags -h..h, fftshift order."""
     h = (m - 1) // 2
-    out = np.empty((m, m))
-    if c0 / c.size < VAR_EPS:
-        out[:] = 0.0
-        return out, (c, 0.0)
-    for i, dy in enumerate(range(-h, h + 1)):
-        for j, dx in enumerate(range(-h, h + 1)):
-            out[i, j] = cmap[dy % s, dx % s] / c0
-    return out, (c, c0)
-
-
-def _acorr_backward(aux, g, values):
-    c, c0 = aux
-    if c0 == 0.0:
-        return np.zeros_like(c)
-    s = c.shape[0]
-    m = g.shape[0]
-    h = (m - 1) // 2
-    kernel = np.zeros_like(c)
-    for i, dy in enumerate(range(-h, h + 1)):
-        for j, dx in enumerate(range(-h, h + 1)):
-            kernel[dy % s, dx % s] += g[i, j]
-    kf = np.fft.fft2(kernel)
-    cf = np.fft.fft2(c)
-    # sum_d g_d (c[p+d] + c[p-d]): cross-correlation plus convolution
-    both = np.fft.ifft2(cf * (np.conj(kf) + kf)).real
-    return (both - 2.0 * float((g * values).sum()) * c) / c0
+    phase = np.outer(np.arange(-h, h + 1), 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(size)))
+    return np.cos(phase), np.sin(phase)
 
 
 def _center_stack(images):
     """Stack images as centered rows; returns (Z, var, ok)."""
-    z = np.stack([im.ravel() for im in images]).astype(np.float64)
+    z = np.stack([im.ravel() for im in images])
     z -= z.mean(axis=1, keepdims=True)
     var = np.mean(z * z, axis=1)
     return z, var, var >= VAR_EPS
+
+
+def _cov_to_corr(cov, vara, oka, varb, okb):
+    """Pearson matrix from a covariance matrix, rows/cols of flat images zeroed."""
+    rho = cov / np.sqrt(np.outer(np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)))
+    rho[~oka, :] = 0.0
+    rho[:, ~okb] = 0.0
+    return rho
 
 
 def _corr_matrix(za, vara, oka, zb=None, varb=None, okb=None):
     """Pearson matrix between two stacks (or one with itself), guarded."""
     if zb is None:
         zb, varb, okb = za, vara, oka
-    n = za.shape[1]
-    denom = np.sqrt(np.outer(np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)))
-    rho = (za @ zb.T) / (n * denom)
-    rho[~oka, :] = 0.0
-    rho[:, ~okb] = 0.0
-    return rho
+    return _cov_to_corr((za @ zb.T) / za.shape[1], vara, oka, varb, okb)
 
 
 def _corr_cross_backward(za, vara, oka, zb, varb, okb, rho, g):
@@ -295,10 +281,10 @@ def _c67_index(n_sc, n_or):
 class _Cache:
     """Everything the backward pass needs from one forward evaluation."""
 
-    __slots__ = ("params", "size", "stack", "img", "recons", "scales", "low",
-                 "high", "oriented", "bands", "mags", "upmags", "aux1", "aux3",
-                 "aux4", "stack20", "rho20", "idx67", "mag_stats", "rho5",
-                 "cross", "values")
+    __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
+                 "lag_basis", "lag_scale", "acorr", "bands", "mags",
+                 "mag_stats", "rho5", "cross", "var20", "ok20", "rho20",
+                 "idx67", "dc_gain", "values")
 
 
 def _forward(img, params: PssParams):
@@ -312,71 +298,62 @@ def _forward(img, params: PssParams):
     if m > size:
         raise ValueError(f"neighborhood {m} exceeds image side {size}")
     stack = pyramid.transfer_stack(size, n_sc, n_or)
+    npix, dc = size * size, size // 2
 
     cc = _Cache()
     cc.params, cc.size, cc.stack, cc.img = params, size, stack, a
-    spec = np.fft.fftshift(np.fft.fft2(a))
-    filt = lambda t: np.fft.ifft2(np.fft.ifftshift(t * spec)).real
-    cc.recons = [[filt(stack.band_recon[n][k]) for k in range(n_or)]
-                 for n in range(n_sc)]
-    cc.scales = [filt(stack.scale_recon[n]) for n in range(n_sc)]
-    cc.low = filt(stack.low_recon)
-    cc.high = filt(stack.high_recon)
-    cc.oriented = [filt(t) for t in stack.oriented_low_recon]
+    cc.spec = spec = _fft(a)
+    # power spectrum of the centered image: every quadratic group is a
+    # weighted sum over it (Wiener-Khinchin), so no filtered image is formed
+    power = spec.real ** 2 + spec.imag ** 2
+    power[dc, dc] = 0.0
     cc.bands = [[stack.band_grid(spec, n + 1, k) for k in range(n_or)]
                 for n in range(n_sc)]
     cc.mags = [[np.abs(b) for b in level] for level in cc.bands]
-    # coarser-scale magnitudes interpolated onto each finer grid (C8)
-    cc.upmags = {}
-    for coarse in range(2, n_sc + 1):
-        for fine in range(1, coarse):
-            target = size >> (fine - 1)
-            cc.upmags[coarse, fine] = [pyramid.upsample_to(mg, target)
-                                       for mg in cc.mags[coarse - 1]]
 
     values = []
 
     skew, kurt, cc.aux1 = _skew_kurt(a)
     values += [a.mean(), cc.aux1[1], skew, kurt, a.min(), a.max()]
 
-    sk_aux = []
-    level_imgs = cc.scales + [cc.low]
-    for im in level_imgs:
-        s, k, aux = _skew_kurt(im)
+    cc.aux2 = []
+    for t in (*stack.scale_recon, stack.low_recon):
+        s, k, aux = _skew_kurt(_ifft(t * spec).real)
         values += [s, k]
-        sk_aux.append(aux)
+        cc.aux2.append(aux)
 
-    cc.aux3 = []
-    for level in cc.recons:
-        row = []
-        for im in level:
-            ac, aux = _acorr(im, m)
-            values += ac.ravel().tolist()
-            row.append((ac, aux))
-        cc.aux3.append(row)
-
-    acorr4 = []
-    for im in level_imgs:
-        ac, aux = _acorr(im, m)
-        values += ac.ravel().tolist()
-        acorr4.append((ac, aux))
-    cc.aux4 = list(zip(sk_aux, acorr4))  # C2 and C4 share the level images
+    # C3 + C4: lag map of each power-weighted transfer, normalized by its lag 0
+    cc.lag_basis = cos, sin = _lag_basis(size, m)
+    weighted = stack.acorr_power * power
+    lag = (cos @ weighted @ cos.T - sin @ weighted @ sin.T) / npix
+    c0 = lag[:, m // 2, m // 2].copy()
+    ok = c0 / npix >= VAR_EPS
+    c0[~ok] = 1.0
+    cc.lag_scale = np.where(ok, npix / c0, 0.0)
+    cc.acorr = lag / c0[:, None, None]
+    cc.acorr[~ok] = 0.0
+    values += cc.acorr.ravel().tolist()
 
     cc.mag_stats = [_center_stack(level) for level in cc.mags]
     cc.rho5 = [_corr_matrix(*st) for st in cc.mag_stats]
     for rho in cc.rho5:
         values += rho.ravel().tolist()
 
-    flat = [im for level in cc.recons for im in level] + cc.oriented
-    cc.stack20 = _center_stack(flat)
-    cc.rho20 = _corr_matrix(*cc.stack20)
+    # C6 + C7: covariances of the oriented reconstructions from the spectrum
+    t20 = stack.corr_recon.reshape(len(stack.corr_recon), npix)
+    cov = (t20 * power.ravel()) @ t20.T / npix ** 2
+    cc.var20 = np.diag(cov).copy()
+    cc.ok20 = cc.var20 >= VAR_EPS
+    cc.rho20 = _cov_to_corr(cov, cc.var20, cc.ok20, cc.var20, cc.ok20)
     cc.idx67 = _c67_index(n_sc, n_or)
     values += cc.rho20[cc.idx67].tolist()
 
     cc.cross = {}
     for coarse in range(2, n_sc + 1):
         for fine in range(1, coarse):
-            zb, varb, okb = _center_stack(cc.upmags[coarse, fine])
+            # coarser-scale magnitudes interpolated onto the finer grid
+            up = [pyramid.upsample_to(mg, size >> (fine - 1)) for mg in cc.mags[coarse - 1]]
+            zb, varb, okb = _center_stack(up)
             fa = cc.mag_stats[fine - 1]
             rho = _corr_matrix(fa[0], fa[1], fa[2], zb, varb, okb)
             cc.cross[coarse, fine] = (rho, (zb, varb, okb))
@@ -389,12 +366,12 @@ def _forward(img, params: PssParams):
             else:
                 values += cc.cross[sa, sb][0].T.ravel().tolist()
 
-    for level in cc.recons:
-        values += [im.mean() for im in level]
-    values += [cc.low.mean(), cc.high.mean()]
+    # C9: a filtered image's mean is its transfer's DC gain times the input mean
+    cc.dc_gain = np.append(stack.corr_recon[:n_sc * n_or, dc, dc],
+                           [stack.low_recon[dc, dc], stack.high_recon[dc, dc]])
+    values += (cc.dc_gain * (spec[dc, dc].real / npix)).tolist()
 
-    ch = cc.high - cc.high.mean()
-    values.append(np.mean(ch * ch))
+    values.append(np.sum(stack.high_recon ** 2 * power) / npix ** 2)
 
     out = np.asarray(values, dtype=np.float64)
     if not np.isfinite(out).all():
@@ -415,47 +392,49 @@ def extract_pss(img, params: PssParams = PssParams()) -> PssVector:
 
 def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. input pixels of sum(dvalues * statistics)."""
-    params, size = cc.params, cc.size
+    params, size, stack = cc.params, cc.size, cc.stack
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
     layout = PssLayout.from_params(params)
     g = [dvalues[layout.group_slice(i)] for i in range(1, 11)]
-    stack = cc.stack
-    npix = size * size
+    npix, dc = size * size, size // 2
 
-    grad = np.zeros((size, size))
-    spec_cot = np.zeros((size, size), dtype=np.complex128)
-    cot_recon = [[np.zeros((size, size)) for _ in range(n_or)] for _ in range(n_sc)]
-    cot_scale = [np.zeros((size, size)) for _ in range(n_sc)]
-    cot_low = np.zeros((size, size))
-    cot_high = np.zeros((size, size))
-    cot_oriented = [np.zeros((size, size)) for _ in range(n_or)]
-    cot_mag = [[np.zeros_like(mg) for mg in level] for level in cc.mags]
-
-    # C1: raw-pixel moments and extrema
-    grad += g[0][0] / npix
+    # C1 raw-pixel moments and extrema; the C1 and C9 means are linear
+    grad = np.full((size, size), (g[0][0] + g[8] @ cc.dc_gain) / npix)
     grad += g[0][1] * (2.0 / npix) * cc.aux1[0]
     grad += _skew_kurt_backward(cc.aux1, g[0][2], g[0][3])
     flat = grad.ravel()
     flat[np.argmin(cc.img)] += g[0][4]
     flat[np.argmax(cc.img)] += g[0][5]
 
-    # C2 + C4 share the per-level images
-    cot_levels = [cot_scale[i] for i in range(n_sc)] + [cot_low]
-    g2 = g[1].reshape(n_sc + 1, 2)
-    g4 = g[3].reshape(n_sc + 1, m, m)
-    for lev in range(n_sc + 1):
-        aux_sk, (ac_vals, aux_ac) = cc.aux4[lev]
-        cot_levels[lev] += _skew_kurt_backward(aux_sk, g2[lev, 0], g2[lev, 1])
-        cot_levels[lev] += _acorr_backward(aux_ac, g4[lev], ac_vals)
+    # C3, C4, C6, C7 and C10 are (1/npix^2) sum(w * power); collect one w
+    cos, sin = cc.lag_basis
+    gl = np.concatenate([g[2], g[3]]).reshape(-1, m, m) * cc.lag_scale[:, None, None]
+    kernel = cos.T @ gl @ cos - sin.T @ gl @ sin
+    kernel -= (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
+    weight = np.einsum("jyx,jyx->yx", stack.acorr_power, kernel)
 
-    # C3
-    g3 = g[2].reshape(n_sc, n_or, m, m)
-    for n in range(n_sc):
-        for k in range(n_or):
-            ac_vals, aux = cc.aux3[n][k]
-            cot_recon[n][k] += _acorr_backward(aux, g3[n, k], ac_vals)
+    g20 = np.zeros_like(cc.rho20)
+    np.add.at(g20, cc.idx67, np.concatenate([g[5], g[6]]))
+    var = np.where(cc.ok20, cc.var20, 1.0)
+    mix = g20 / np.sqrt(np.outer(var, var))
+    mix[~cc.ok20, :] = 0.0
+    mix[:, ~cc.ok20] = 0.0
+    gr = g20 * cc.rho20
+    mix[np.diag_indices_from(mix)] -= (gr.sum(axis=0) + gr.sum(axis=1)) / (2.0 * var)
+    t20 = stack.corr_recon.reshape(len(mix), npix)
+    weight += ((mix @ t20) * t20).sum(axis=0).reshape(size, size)
+
+    weight += g[9][0] * stack.high_recon ** 2
+    weight[dc, dc] = 0.0
+    spec_cot = (2.0 / npix) * weight * cc.spec
+
+    # C2: per-level moments through the level transfers
+    g2 = g[1].reshape(n_sc + 1, 2)
+    for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g2):
+        spec_cot += t * _fft(_skew_kurt_backward(aux, gs, gk))
 
     # C5 + same-scale C8 entries share per-scale magnitude blocks
+    cot_mag = [[np.zeros_like(mg) for mg in level] for level in cc.mags]
     g5 = g[4].reshape(n_sc, n_or, n_or)
     g8 = g[7].reshape(n_sc, n_sc, n_or, n_or)
     for n in range(n_sc):
@@ -479,45 +458,18 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
                 cot_mag[coarse - 1][k] += pyramid.upsample_to_adjoint(
                     cotb[k].reshape(side, side), small)
 
-    # C6 + C7 share the unified reconstruction stack
-    g20 = np.zeros_like(cc.rho20)
-    np.add.at(g20, cc.idx67, np.concatenate([g[5], g[6]]))
-    cot20 = np.add(*_corr_cross_backward(*cc.stack20, *cc.stack20, cc.rho20, g20))
+    # magnitude cotangents -> complex band cotangents -> analysis adjoint,
+    # whose zero-padded band spectrum only fills the central crop
     for n in range(n_sc):
-        for k in range(n_or):
-            cot_recon[n][k] += cot20[n * n_or + k].reshape(size, size)
-    for k in range(n_or):
-        cot_oriented[k] += cot20[n_sc * n_or + k].reshape(size, size)
-
-    # C9 means, C10 high-pass variance
-    g9 = g[8]
-    for n in range(n_sc):
-        for k in range(n_or):
-            cot_recon[n][k] += g9[n * n_or + k] / npix
-    cot_low += g9[n_sc * n_or] / npix
-    cot_high += g9[n_sc * n_or + 1] / npix
-    cot_high += g[9][0] * (2.0 / npix) * (cc.high - cc.high.mean())
-
-    # push cotangents through the self-adjoint reconstruction filters
-    fft = lambda u: np.fft.fftshift(np.fft.fft2(u))
-    for n in range(n_sc):
-        for k in range(n_or):
-            spec_cot += stack.band_recon[n][k] * fft(cot_recon[n][k])
-        spec_cot += stack.scale_recon[n] * fft(cot_scale[n])
-    spec_cot += stack.low_recon * fft(cot_low)
-    spec_cot += stack.high_recon * fft(cot_high)
-    for k in range(n_or):
-        spec_cot += stack.oriented_low_recon[k] * fft(cot_oriented[k])
-    grad += np.fft.ifft2(np.fft.ifftshift(spec_cot)).real
-
-    # magnitude cotangents -> complex band cotangents -> analysis adjoint
-    for n in range(n_sc):
+        side = size >> n
+        inner = _crop(spec_cot, side)
         for k in range(n_or):
             mg = cc.mags[n][k]
             unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
             w = cot_mag[n][k] * unit * cc.bands[n][k]
-            grad += stack.band_grid_adjoint(w, n + 1, k)
+            inner += _crop(stack.band_analysis[n][k], side) * _fft(w)
 
+    grad += _ifft(spec_cot).real
     if not np.isfinite(grad).all():
         raise NumericError("non-finite statistic gradient")
     return grad
@@ -545,6 +497,8 @@ def load_vector(path) -> PssVector:
     buf = Path(path).read_bytes()
     if buf[:4] != _VECTOR_MAGIC:
         raise ValueError(f"corrupt container: {path} is not a statistic vector file")
+    if len(buf) < 24:
+        raise ValueError(f"corrupt container: {path} has a truncated header")
     ver, n, k, m, dim = struct.unpack_from("<IIIII", buf, 4)
     if ver != _VECTOR_VERSION:
         raise ValueError(

@@ -244,29 +244,35 @@ class TransferStack:
         self.angular = [angular_gain(k, n_or, th) for k in range(n_or)]
         # G_k at the negated frequency, taken by index so it folds exactly
         # the way Hermitian completion of the half-plane bands does
-        ang_sym = [g ** 2 + np.roll(g[::-1, ::-1], 1, axis=(0, 1)) ** 2
-                   for g in self.angular]
+        negated = [np.roll(g[::-1, ::-1], 1, axis=(0, 1)) for g in self.angular]
 
         chain = self.lowpass0.copy()
         self.band_analysis = []  # [n][k], single analysis pass
-        self.band_recon = []     # [n][k], analysis+synthesis round trip
+        band_recon = []          # analysis+synthesis round trips, (n, k) order
         self.scale_recon = []    # [n], sum of the scale's band round trips
         for n in range(n_sc):
             h = radial_highpass(r * 2.0 ** n)
             self.band_analysis.append([chain * h * g for g in self.angular])
-            self.band_recon.append([chain ** 2 * h ** 2 * a for a in ang_sym])
+            band_recon += [chain ** 2 * h ** 2 * (g ** 2 + gn ** 2)
+                           for g, gn in zip(self.angular, negated)]
             self.scale_recon.append(chain ** 2 * h ** 2)
             chain = chain * (radial_lowpass(r * 2.0 ** n) / 2.0)
         self.low_analysis = chain
         self.low_recon = chain ** 2
-        self.oriented_low_recon = [g * self.low_recon for g in self.angular]
+        # the real part of an image filtered by G_k applies (G_k(w) + G_k(-w))/2
+        oriented = [(g + gn) / 2.0 * self.low_recon for g, gn in zip(self.angular, negated)]
+        # stacked transfers of the quadratic statistics: C6/C7 correlate the
+        # band and oriented low-pass reconstructions, C3/C4 autocorrelate the
+        # band, scale and low-pass reconstructions (squared: power gains)
+        self.corr_recon = np.stack(band_recon + oriented)
+        self.acorr_power = np.stack(band_recon + self.scale_recon + [self.low_recon]) ** 2
         # instances are cached and shared; freeze every grid
         for arr in (self.lowpass0, self.highpass0, self.high_recon,
                     self.low_analysis, self.low_recon, *self.angular,
-                    *self.scale_recon, *self.oriented_low_recon,
-                    *(t for lv in self.band_analysis for t in lv),
-                    *(t for lv in self.band_recon for t in lv)):
+                    *self.scale_recon, self.corr_recon, self.acorr_power,
+                    *(t for lv in self.band_analysis for t in lv)):
             arr.flags.writeable = False
+        self.band_recon = [list(self.corr_recon[n * n_or:(n + 1) * n_or]) for n in range(n_sc)]
 
     def filter_image(self, img: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         """Apply a real transfer; also the adjoint of the same map."""

@@ -151,6 +151,25 @@ class TssReport:
     location: tuple[int, int]  # top-left of the best-matching source patch
 
 
+def _source_patches(source, p: int):
+    """Every p x p window of the source and the norm of each."""
+    x = np.asarray(source, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
+        raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
+    windows = sliding_window_view(x, (p, p))
+    return windows, np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
+
+
+def _best_match(s, windows, norms) -> TssReport:
+    dots = np.einsum("ijkl,kl->ij", windows, s)
+    sn = float(np.linalg.norm(s))
+    denom = norms * sn
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    best = int(np.argmax(sims))
+    loc = np.unravel_index(best, sims.shape)
+    return TssReport(float(sims.flat[best]), s.shape[0], sims.size, (int(loc[0]), int(loc[1])))
+
+
 def tss(sample, source, patch_size: int | None = None) -> TssReport:
     """Maximum cosine similarity between the sample and all source patches.
 
@@ -159,31 +178,20 @@ def tss(sample, source, patch_size: int | None = None) -> TssReport:
     as large.
     """
     s = np.asarray(sample, dtype=np.float64)
-    x = np.asarray(source, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError(f"sample must be a square patch, got shape {s.shape}")
     p = s.shape[0]
     if patch_size is not None and patch_size != p:
         raise ValueError(f"sample is {p}x{p} but patch size {patch_size} was requested")
-    if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
-        raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
-
-    windows = sliding_window_view(x, (p, p))
-    dots = np.einsum("ijkl,kl->ij", windows, s)
-    norms = np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
-    sn = float(np.linalg.norm(s))
-    denom = norms * sn
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    best = int(np.argmax(sims))
-    loc = np.unravel_index(best, sims.shape)
-    return TssReport(float(sims.flat[best]), p, sims.size, (int(loc[0]), int(loc[1])))
+    return _best_match(s, *_source_patches(source, p))
 
 
 def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
     """Mean of per-sample maxima over a centered non-overlapping grid.
 
     The image is cut into as many whole patch_size x patch_size tiles as
-    fit, centered; each tile is scored against every source patch.
+    fit, centered; each tile is scored against every source patch, whose
+    norms are computed once for all tiles.
     """
     a = np.asarray(image, dtype=np.float64)
     ny, nx = a.shape[0] // patch_size, a.shape[1] // patch_size
@@ -191,12 +199,13 @@ def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
         raise ValueError(f"image {a.shape} holds no {patch_size}px sample")
     oy = (a.shape[0] - ny * patch_size) // 2
     ox = (a.shape[1] - nx * patch_size) // 2
+    patches = _source_patches(source, patch_size)
     scores = []
     for iy in range(ny):
         for ix in range(nx):
             y0, x0 = oy + iy * patch_size, ox + ix * patch_size
             tile = a[y0:y0 + patch_size, x0:x0 + patch_size]
-            scores.append(tss(tile, source).tss)
+            scores.append(_best_match(tile, *patches).tss)
     return float(np.mean(scores)), len(scores)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from texlat import pss
+from texlat import pss, pyramid
 from texlat.pss import PssLayout, PssParams, PssVector
 
 
@@ -141,6 +143,43 @@ class TestStatisticValues:
             extract(img, 2, 2, 3)
 
 
+def spatial_reference(img, n_sc, n_or, m):
+    """C3, C4, C6, C7, C9 and C10 computed from filtered images in space."""
+    stack = pyramid.transfer_stack(img.shape[0], n_sc, n_or)
+    bands = [stack.filter_image(img, t) for level in stack.band_recon for t in level]
+    levels = [stack.filter_image(img, t) for t in (*stack.scale_recon, stack.low_recon)]
+    # filter_image keeps the real part of the one-sided oriented low-pass
+    oriented = [stack.filter_image(img, g * stack.low_recon) for g in stack.angular]
+    high = stack.filter_image(img, stack.high_recon)
+    h = (m - 1) // 2
+
+    def acorr(im):
+        c = im - im.mean()
+        return [np.sum(c * np.roll(c, (-dy, -dx), axis=(0, 1))) / np.sum(c * c)
+                for dy in range(-h, h + 1) for dx in range(-h, h + 1)]
+
+    rho = np.corrcoef(np.stack([im.ravel() for im in bands + oriented]))
+    block = [slice(lev * n_or, (lev + 1) * n_or) for lev in range(n_sc + 1)]
+    return {
+        3: np.concatenate([acorr(im) for im in bands]),
+        4: np.concatenate([acorr(im) for im in levels]),
+        6: np.concatenate([rho[b, b].ravel() for b in block]),
+        7: np.concatenate([rho[a, b].ravel() for a in block[:n_sc] for b in block]),
+        9: np.array([im.mean() for im in bands] + [levels[-1].mean(), high.mean()]),
+        10: np.array([high.var()]),
+    }
+
+
+@pytest.mark.parametrize("n,k,m,size", [(2, 2, 3, 32), (3, 3, 5, 32), (4, 4, 7, 64)])
+def test_spectral_groups_match_spatial_reference(rng, n, k, m, size):
+    img = rng.standard_normal((size, size)) * 30 + 120
+    img += 40 * np.sin(np.arange(size) / 3.0)[None, :]
+    v = extract(img, n, k, m)
+    for g, ref in spatial_reference(img, n, k, m).items():
+        scale = np.abs(ref).max()
+        assert np.abs(v.group(g) - ref).max() <= 1e-10 * scale, g
+
+
 class TestShiftInvariance:
     def test_aligned_shifts_leave_all_groups(self, rng):
         # shifts divisible by 2^(N-1) keep every band grid on-sample
@@ -157,6 +196,21 @@ class TestShiftInvariance:
         v2 = extract(np.roll(img, (5, 3), axis=(0, 1)), 3, 4, 7)
         for g in (1, 2, 3, 4, 6, 7, 9, 10):
             assert np.abs(v1.group(g) - v2.group(g)).max() <= 1e-6, g
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dy=st.integers(0, 63), dx=st.integers(0, 63),
+       aligned=st.booleans())
+def test_circular_shift_invariance_property(seed, dy, dx, aligned):
+    # N = 3: shifts that are multiples of 2^(N-1) = 4 keep every band grid on-sample
+    if aligned:
+        dy, dx = 4 * (dy // 4), 4 * (dx // 4)
+    img = np.random.default_rng(seed).standard_normal((64, 64)) * 40 + 127
+    v1 = extract(img, 3, 4, 7)
+    v2 = extract(np.roll(img, (dy, dx), axis=(0, 1)), 3, 4, 7)
+    groups = range(1, 11) if aligned else (1, 2, 3, 4, 6, 7, 9, 10)
+    for g in groups:
+        assert np.abs(v1.group(g) - v2.group(g)).max() <= 1e-6, g
 
 
 class TestSerialization:

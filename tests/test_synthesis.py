@@ -195,6 +195,14 @@ class TestSampleGrid:
         assert count == 9
         assert abs(score - 1.0) <= 1e-12
 
+    def test_equals_mean_of_per_tile_tss(self, rng):
+        img = rng.uniform(1, 255, size=(40, 37))
+        source = rng.uniform(1, 255, size=(24, 30))
+        source[:6] = 0.0  # zero-norm source patches score 0
+        tiles = [img[y:y + 9, x:x + 9] for y in (2, 11, 20, 29) for x in (0, 9, 18, 27)]
+        expect = float(np.mean([synthesis.tss(t, source).tss for t in tiles]))
+        assert synthesis.sample_grid_tss(img, source, 9) == (expect, 16)
+
     def test_patch_larger_than_image_rejected(self, rng):
         with pytest.raises(ValueError):
             synthesis.sample_grid_tss(rng.standard_normal((8, 8)),
