@@ -29,8 +29,14 @@ Every "reconstruction" is the input passed through one real transfer of
 linear) in such images, so by Wiener-Khinchin they are weighted sums over
 the power spectrum |X|^2 of the centered input: a lag window of a cosine
 transform for C3/C4, a transfer-weighted Gram matrix for C6/C7, DC gains
-for C9. No filtered image is formed for them. C1, the C2 moments of the
-N+1 level images and the C5/C8 band magnitudes are computed in space.
+for C9. No filtered image is formed for them, and the C3/C4/C6/C7 sums of
+level L run over the central size/2^L crop of the spectrum, outside which
+its transfers are exactly zero. The cross-scale C8 correlations are, by
+Parseval, inner products of the magnitude grids' spectra: the coarser
+grid's spectrum with its Nyquist row and column split in two is the
+spectrum of its band-limited interpolation onto the finer grid. Only C1,
+the C2 moments of the N+1 level images and the C5 (same-scale C8)
+magnitude correlations are computed in space.
 
 Every statistic is a smooth function of the input (plus min/max and
 magnitudes), so the module also provides the exact reverse-mode
@@ -222,9 +228,9 @@ def _lag_basis(size, m):
 
 
 def _center_stack(images):
-    """Stack images as centered rows; returns (Z, var, ok)."""
-    z = np.stack([im.ravel() for im in images])
-    z -= z.mean(axis=1, keepdims=True)
+    """Rows of a (K, s, s) image stack, centered; returns (Z, var, ok)."""
+    z = images.reshape(len(images), -1)
+    z = z - z.mean(axis=1, keepdims=True)
     var = np.mean(z * z, axis=1)
     return z, var, var >= VAR_EPS
 
@@ -237,29 +243,57 @@ def _cov_to_corr(cov, vara, oka, varb, okb):
     return rho
 
 
-def _corr_matrix(za, vara, oka, zb=None, varb=None, okb=None):
-    """Pearson matrix between two stacks (or one with itself), guarded."""
-    if zb is None:
-        zb, varb, okb = za, vara, oka
-    return _cov_to_corr((za @ zb.T) / za.shape[1], vara, oka, varb, okb)
+def _corr_weights(vara, oka, varb, okb, rho, g):
+    """(w, da, db) for sum(g * rho) with rho = _cov_to_corr(cov, ...).
 
-
-def _corr_cross_backward(za, vara, oka, zb, varb, okb, rho, g):
-    """Cotangents for correlations between two stacks; g aligns with rho.
-
-    Passing one stack as both gives its all-pairs cotangent as cota + cotb.
+    w is its derivative by cov; -da/2 and -db/2 are those by vara and varb.
+    Rows and columns of flat stacks get 0, since rho is 0 there.
     """
-    n = za.shape[1]
-    siga = np.sqrt(np.where(oka, vara, 1.0))
-    sigb = np.sqrt(np.where(okb, varb, 1.0))
-    w = g / np.outer(siga, sigb)
+    vara, varb = np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)
+    w = g / np.outer(np.sqrt(vara), np.sqrt(varb))
     w[~oka, :] = 0.0
     w[:, ~okb] = 0.0
-    cota = (w @ zb - ((g * rho).sum(axis=1) / np.where(oka, vara, 1.0))[:, None] * za) / n
-    cotb = (w.T @ za - ((g * rho).sum(axis=0) / np.where(okb, varb, 1.0))[:, None] * zb) / n
-    cota[~oka] = 0.0
-    cotb[~okb] = 0.0
-    return cota, cotb
+    gr = g * rho
+    return w, gr.sum(axis=1) / vara, gr.sum(axis=0) / varb
+
+
+def _level_plan(size, n_sc, n_or):
+    """(crop, acorr_power rows, corr_recon rows) of each level 0..N.
+
+    Level L < N holds the scale-(L+1) band and scale transfers, level N the
+    low-pass ones; all are 0 outside the central size >> L crop.
+    """
+    for lev in range(n_sc + 1):
+        q = (size - (size >> lev)) // 2
+        bands = range(lev * n_or, (lev + 1) * n_or) if lev < n_sc else ()
+        yield (slice(q, size - q), [*bands, n_sc * n_or + lev],
+               slice(lev * n_or, (lev + 1) * n_or))
+
+
+def _interp_spectra(spec):
+    """DC-free spectra of (K, s, s) grids' band-limited interpolation.
+
+    On a finer grid of side f the real interpolant has f^2 times this
+    (K, s+1, s+1) block as the center of its spectrum: the Nyquist row
+    and column split evenly between -s/2 and +s/2.
+    """
+    k, s = spec.shape[:2]
+    e = np.zeros((k, s + 1, s + 1), dtype=complex)
+    e[:, :s, :s] = spec
+    e[:, s // 2, s // 2] = 0.0
+    return (e + np.conj(e[:, ::-1, ::-1])) / (2.0 * s * s)
+
+
+def _ri(z):
+    """Complex rows as interleaved (re, im) real rows: numpy's real matmuls
+    are far faster than its complex or mixed ones."""
+    return np.ascontiguousarray(z).view(np.float64)
+
+
+def _interp_block(spec, small):
+    """The block of a finer spectrum stack _interp_spectra fills (_crop floors odd sides)."""
+    q = (spec.shape[-1] - small) // 2
+    return spec[:, q:q + small + 1, q:q + small + 1]
 
 
 def _c67_index(n_sc, n_or):
@@ -283,8 +317,8 @@ class _Cache:
 
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
-                 "mag_stats", "rho5", "cross", "var20", "ok20", "rho20",
-                 "idx67", "dc_gain", "values")
+                 "mag_stats", "mag_spec", "rho5", "interp", "cross", "var20",
+                 "ok20", "rho20", "idx67", "dc_gain", "values")
 
 
 def _forward(img, params: PssParams):
@@ -307,9 +341,9 @@ def _forward(img, params: PssParams):
     # weighted sum over it (Wiener-Khinchin), so no filtered image is formed
     power = spec.real ** 2 + spec.imag ** 2
     power[dc, dc] = 0.0
-    cc.bands = [[stack.band_grid(spec, n + 1, k) for k in range(n_or)]
+    cc.bands = [np.stack([stack.band_grid(spec, n + 1, k) for k in range(n_or)])
                 for n in range(n_sc)]
-    cc.mags = [[np.abs(b) for b in level] for level in cc.bands]
+    cc.mags = [np.abs(b) for b in cc.bands]
 
     values = []
 
@@ -322,10 +356,21 @@ def _forward(img, params: PssParams):
         values += [s, k]
         cc.aux2.append(aux)
 
-    # C3 + C4: lag map of each power-weighted transfer, normalized by its lag 0
+    # C3 + C4 lag maps of the power-weighted transfers and the C6 + C7
+    # covariances (the Gram block "levels <= L by level L"), each on crop L
     cc.lag_basis = cos, sin = _lag_basis(size, m)
-    weighted = stack.acorr_power * power
-    lag = (cos @ weighted @ cos.T - sin @ weighted @ sin.T) / npix
+    lag = np.empty((len(stack.acorr_power), m, m))
+    cov = np.empty((len(stack.corr_recon),) * 2)
+    for crop, rows, lev in _level_plan(size, n_sc, n_or):
+        pw = power[crop, crop]
+        weighted = stack.acorr_power[rows, crop, crop] * pw
+        cs, sn = cos[:, crop], sin[:, crop]
+        lag[rows] = (cs @ weighted @ cs.T - sn @ weighted @ sn.T) / npix
+        t = stack.corr_recon[:lev.stop, crop, crop].reshape(lev.stop, -1)
+        cov[:lev.stop, lev] = (t * pw.ravel()) @ t[lev].T / npix ** 2
+        cov[lev, :lev.stop] = cov[:lev.stop, lev].T
+
+    # C3 + C4: each lag map normalized by its lag 0
     c0 = lag[:, m // 2, m // 2].copy()
     ok = c0 / npix >= VAR_EPS
     c0[~ok] = 1.0
@@ -335,36 +380,39 @@ def _forward(img, params: PssParams):
     values += cc.acorr.ravel().tolist()
 
     cc.mag_stats = [_center_stack(level) for level in cc.mags]
-    cc.rho5 = [_corr_matrix(*st) for st in cc.mag_stats]
+    cc.rho5 = [_cov_to_corr(z @ z.T / z.shape[1], var, ok, var, ok)
+               for z, var, ok in cc.mag_stats]
     for rho in cc.rho5:
         values += rho.ravel().tolist()
 
-    # C6 + C7: covariances of the oriented reconstructions from the spectrum
-    t20 = stack.corr_recon.reshape(len(stack.corr_recon), npix)
-    cov = (t20 * power.ravel()) @ t20.T / npix ** 2
+    # C6 + C7: correlations of the oriented reconstructions
     cc.var20 = np.diag(cov).copy()
     cc.ok20 = cc.var20 >= VAR_EPS
     cc.rho20 = _cov_to_corr(cov, cc.var20, cc.ok20, cc.var20, cc.ok20)
     cc.idx67 = _c67_index(n_sc, n_or)
     values += cc.rho20[cc.idx67].tolist()
 
-    cc.cross = {}
-    for coarse in range(2, n_sc + 1):
-        for fine in range(1, coarse):
-            # coarser-scale magnitudes interpolated onto the finer grid
-            up = [pyramid.upsample_to(mg, size >> (fine - 1)) for mg in cc.mags[coarse - 1]]
-            zb, varb, okb = _center_stack(up)
-            fa = cc.mag_stats[fine - 1]
-            rho = _corr_matrix(fa[0], fa[1], fa[2], zb, varb, okb)
-            cc.cross[coarse, fine] = (rho, (zb, varb, okb))
-    for sa in range(1, n_sc + 1):
-        for sb in range(1, n_sc + 1):
+    # C8 across scales: coarser magnitudes interpolated onto the finer grid.
+    # By Parseval each covariance is an inner product of the two spectra
+    # over the (sc+1)-square block the interpolant occupies.
+    cc.mag_spec = [_fft(z.reshape(mg.shape)) for (z, _, _), mg in zip(cc.mag_stats, cc.mags)]
+    cc.interp, cc.cross = {}, {}
+    for coarse in range(1, n_sc):
+        u = _interp_spectra(cc.mag_spec[coarse]).reshape(n_or, -1)
+        varb = np.sum(_ri(u) ** 2, axis=1)
+        cc.interp[coarse] = u, varb, varb >= VAR_EPS
+        for fine in range(coarse):
+            a = _interp_block(cc.mag_spec[fine], size >> coarse).reshape(n_or, -1)
+            cc.cross[coarse, fine] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
+                                                  *cc.mag_stats[fine][1:], *cc.interp[coarse][1:])
+    for sa in range(n_sc):
+        for sb in range(n_sc):
             if sa == sb:
-                values += cc.rho5[sa - 1].ravel().tolist()
+                values += cc.rho5[sa].ravel().tolist()
             elif sa < sb:
-                values += cc.cross[sb, sa][0].ravel().tolist()
+                values += cc.cross[sb, sa].ravel().tolist()
             else:
-                values += cc.cross[sa, sb][0].T.ravel().tolist()
+                values += cc.cross[sa, sb].T.ravel().tolist()
 
     # C9: a filtered image's mean is its transfer's DC gain times the input mean
     cc.dc_gain = np.append(stack.corr_recon[:n_sc * n_or, dc, dc],
@@ -406,25 +454,26 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     flat[np.argmin(cc.img)] += g[0][4]
     flat[np.argmax(cc.img)] += g[0][5]
 
-    # C3, C4, C6, C7 and C10 are (1/npix^2) sum(w * power); collect one w
+    # C3, C4, C6, C7 and C10 are (1/npix^2) sum(w * power); collect one w,
+    # the terms of each level on its crop
     cos, sin = cc.lag_basis
     gl = np.concatenate([g[2], g[3]]).reshape(-1, m, m) * cc.lag_scale[:, None, None]
-    kernel = cos.T @ gl @ cos - sin.T @ gl @ sin
-    kernel -= (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
-    weight = np.einsum("jyx,jyx->yx", stack.acorr_power, kernel)
-
+    g0 = (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
     g20 = np.zeros_like(cc.rho20)
     np.add.at(g20, cc.idx67, np.concatenate([g[5], g[6]]))
-    var = np.where(cc.ok20, cc.var20, 1.0)
-    mix = g20 / np.sqrt(np.outer(var, var))
-    mix[~cc.ok20, :] = 0.0
-    mix[:, ~cc.ok20] = 0.0
-    gr = g20 * cc.rho20
-    mix[np.diag_indices_from(mix)] -= (gr.sum(axis=0) + gr.sum(axis=1)) / (2.0 * var)
-    t20 = stack.corr_recon.reshape(len(mix), npix)
-    weight += ((mix @ t20) * t20).sum(axis=0).reshape(size, size)
-
-    weight += g[9][0] * stack.high_recon ** 2
+    mix, da, db = _corr_weights(cc.var20, cc.ok20, cc.var20, cc.ok20, cc.rho20, g20)
+    mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
+    weight = g[9][0] * stack.high_recon ** 2
+    for crop, rows, lev in _level_plan(size, n_sc, n_or):
+        cs, sn = cos[:, crop], sin[:, crop]
+        kernel = cs.T @ gl[rows] @ cs - sn.T @ gl[rows] @ sn - g0[rows]
+        part = np.einsum("jyx,jyx->yx", stack.acorr_power[rows, crop, crop], kernel)
+        # sum(mix_ij t_i t_j) over the pairs whose coarser level is L
+        coef = mix[:lev.stop, lev] + mix[lev, :lev.stop].T
+        coef[lev] = mix[lev, lev]
+        t = stack.corr_recon[:lev.stop, crop, crop].reshape(lev.stop, -1)
+        part += ((coef.T @ t) * t[lev]).sum(axis=0).reshape(part.shape)
+        weight[crop, crop] += part
     weight[dc, dc] = 0.0
     spec_cot = (2.0 / npix) * weight * cc.spec
 
@@ -433,41 +482,37 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g2):
         spec_cot += t * _fft(_skew_kurt_backward(aux, gs, gk))
 
-    # C5 + same-scale C8 entries share per-scale magnitude blocks
-    cot_mag = [[np.zeros_like(mg) for mg in level] for level in cc.mags]
+    # cross-scale C8 entries: the forward's spectral inner products,
+    # differentiated; each grid's spectral cotangent is summed first
     g5 = g[4].reshape(n_sc, n_or, n_or)
     g8 = g[7].reshape(n_sc, n_sc, n_or, n_or)
-    for n in range(n_sc):
-        gm = g5[n] + g8[n, n]
-        st = cc.mag_stats[n]
-        cot = np.add(*_corr_cross_backward(*st, *st, cc.rho5[n], gm))
-        for k in range(n_or):
-            cot_mag[n][k] += cot[k].reshape(cc.mags[n][k].shape)
+    cot_spec = [np.zeros_like(ms) for ms in cc.mag_spec]
+    dvar = [0.0] * n_sc
+    for (coarse, fine), rho in cc.cross.items():
+        u, varb, okb = cc.interp[coarse]
+        _, vara, oka = cc.mag_stats[fine]
+        w, da, db = _corr_weights(vara, oka, varb, okb, rho,
+                                  g8[fine, coarse] + g8[coarse, fine].T)
+        dvar[fine] = dvar[fine] + da
+        a = _interp_block(cc.mag_spec[fine], size >> coarse)
+        blk = _interp_block(cot_spec[fine], size >> coarse)
+        blk += (w @ _ri(u)).view(complex).reshape(a.shape)
+        u_cot = (w.T @ _ri(a.reshape(n_or, -1))).view(complex) / (size >> fine) ** 2
+        u_cot -= db[:, None] * u
+        cot_spec[coarse] += u_cot.reshape(a.shape)[:, :-1, :-1]
 
-    # cross-scale C8 entries
-    for coarse in range(2, n_sc + 1):
-        for fine in range(1, coarse):
-            gc = g8[fine - 1, coarse - 1] + g8[coarse - 1, fine - 1].T
-            rho, (zb, varb, okb) = cc.cross[coarse, fine]
-            za, vara, oka = cc.mag_stats[fine - 1]
-            cota, cotb = _corr_cross_backward(za, vara, oka, zb, varb, okb, rho, gc)
-            side = size >> (fine - 1)
-            small = size >> (coarse - 1)
-            for k in range(n_or):
-                cot_mag[fine - 1][k] += cota[k].reshape(side, side)
-                cot_mag[coarse - 1][k] += pyramid.upsample_to_adjoint(
-                    cotb[k].reshape(side, side), small)
-
+    # C5 + same-scale C8 entries share per-scale magnitude blocks; then
     # magnitude cotangents -> complex band cotangents -> analysis adjoint,
     # whose zero-padded band spectrum only fills the central crop
-    for n in range(n_sc):
-        side = size >> n
+    for n, (z, var, ok) in enumerate(cc.mag_stats):
+        w, da, db = _corr_weights(var, ok, var, ok, cc.rho5[n], g5[n] + g8[n, n])
+        cot_mag = ((w + w.T) @ z - (da + db + dvar[n])[:, None] * z) / z.shape[1]
+        side, mg = size >> n, cc.mags[n]
+        unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
         inner = _crop(spec_cot, side)
         for k in range(n_or):
-            mg = cc.mags[n][k]
-            unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
-            w = cot_mag[n][k] * unit * cc.bands[n][k]
-            inner += _crop(stack.band_analysis[n][k], side) * _fft(w)
+            cot = (cot_mag[k].reshape(side, side) + _ifft(cot_spec[n][k]).real) * unit[k]
+            inner += _crop(stack.band_analysis[n][k], side) * _fft(cot * cc.bands[n][k])
 
     grad += _ifft(spec_cot).real
     if not np.isfinite(grad).all():

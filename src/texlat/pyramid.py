@@ -150,11 +150,12 @@ def _pad(spec: np.ndarray, size: int) -> np.ndarray:
 
 
 def _fft(img: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft2(img))
+    """Centered 2-D spectrum of an image, or of each image of a stack."""
+    return np.fft.fftshift(np.fft.fft2(img), axes=(-2, -1))
 
 
 def _ifft(spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(np.fft.ifftshift(spec))
+    return np.fft.ifft2(np.fft.ifftshift(spec, axes=(-2, -1)))
 
 
 def build_pyramid(img, params: PyramidParams) -> Pyramid:
@@ -285,8 +286,9 @@ class TransferStack:
         the per-level central crops collapses into one crop here.
         """
         n = scale - 1
-        z = _crop(self.band_analysis[n][orientation] * spec, self.size >> n)
-        z *= 0.25 ** n  # in place: z views a temporary
+        side = self.size >> n
+        z = _crop(self.band_analysis[n][orientation], side) * _crop(spec, side)
+        z *= 0.25 ** n
         return _ifft(z)
 
     def band_grid_adjoint(self, cot: np.ndarray, scale: int, orientation: int) -> np.ndarray:
@@ -309,20 +311,3 @@ class TransferStack:
 @lru_cache(maxsize=16)
 def transfer_stack(size: int, n_scales: int, n_orientations: int) -> TransferStack:
     return TransferStack(size, PyramidParams(n_scales, n_orientations))
-
-
-def upsample_to(img: np.ndarray, size: int) -> np.ndarray:
-    """Band-limited interpolation of a real image onto a finer square grid."""
-    small = img.shape[0]
-    if size == small:
-        return img
-    if size < small or size % small:
-        raise ValueError(f"cannot upsample {small} -> {size}")
-    return _ifft(_pad(_fft(img) * (size / small) ** 2, size)).real
-
-
-def upsample_to_adjoint(cot: np.ndarray, small: int) -> np.ndarray:
-    """Adjoint of upsample_to: central spectral crop, no rescaling."""
-    if cot.shape[0] == small:
-        return cot
-    return _ifft(_crop(_fft(cot), small)).real

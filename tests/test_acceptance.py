@@ -134,6 +134,27 @@ def test_criterion_5_gradient_directional_derivatives_at_default_parameters():
              f"{worst:.2e} over 4 directions (<=1e-5)")
 
 
+@pytest.mark.parametrize("group", [3, 4, 6, 7, 8])
+def test_criterion_5_group_gradient_at_default_parameters(group):
+    # one quadratic or cross-scale group alone, probed along its own gradient
+    rng = np.random.default_rng(5)
+    params = PssParams()
+    target = pss.extract_pss(rng.standard_normal((64, 64)) * 25 + 120, params)
+    weights = np.where(np.arange(1, 11) == group, synthesis.default_weights(target), 0.0)
+    img = rng.standard_normal((64, 64)) * 25 + 120
+
+    analytic = synthesis.pss_gradient(img, target, weights)
+    d = analytic / np.linalg.norm(analytic)
+    eps = 1e-3
+    hi = synthesis.pss_distance(pss.extract_pss(img + eps * d, params), target, weights)
+    lo = synthesis.pss_distance(pss.extract_pss(img - eps * d, params), target, weights)
+    fd = (hi - lo) / (2 * eps)
+    err = abs(np.sum(analytic * d) - fd) / abs(fd)
+    _verdict(5, err <= 1e-6,
+             f"C{group} alone, (4,4,7) at 64 px: relative directional-derivative "
+             f"error {err:.2e} along the gradient (<=1e-6)")
+
+
 def test_criterion_6_synthesis_convergence():
     params = PssParams(3, 4, 7)
     size = 64

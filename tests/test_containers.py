@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from texlat import cli, hppca, pss
 from texlat.archive import FeatureArchive, load_archive, save_archive
+from texlat.ppca import PpcaModel
 from texlat.pss import PssLayout, PssParams
 
 PARAMS = PssParams(1, 1, 3)
@@ -64,3 +66,86 @@ def test_info_on_short_header_exits_two(tmp_path, capsys, magic):
     path.write_bytes(magic.encode() + b"\x01\x00")
     assert cli.main(["info", str(path)]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(magic=st.sampled_from(sorted(CONTAINERS)), where=st.floats(0.0, 1.0, exclude_max=True),
+       mask=st.integers(1, 255))
+def test_single_byte_flip_loads_or_raises_value_error(valid_files, magic, where, mask):
+    root, files = valid_files
+    raw = bytearray(files[magic])
+    raw[int(where * len(raw))] ^= mask
+    path = root / f"flip_{magic}"
+    path.write_bytes(bytes(raw))
+    try:
+        CONTAINERS[magic][1](path)
+    except ValueError:
+        pass
+
+
+_params = st.sampled_from([PssParams(1, 1, 3), PssParams(2, 2, 3), PssParams(1, 3, 5)])
+# an id is a NUL-padded field of 96 UTF-8 bytes, so it can neither end in
+# NUL nor be longer; the class list is length-prefixed and takes any text
+_ids = st.text(st.characters(blacklist_characters="\0"), max_size=40).filter(
+    lambda s: len(s.encode("utf-8")) <= 96)
+
+
+def _same_bits(a, b):
+    # containers store float64 bit patterns, NaN payloads and -0.0 included
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_params, classes=st.lists(st.text(max_size=12), min_size=1, max_size=4),
+       ids=st.lists(_ids, max_size=5, unique=True), data=st.data())
+def test_archive_round_trip_property(tmp_path_factory, params, classes, ids, data):
+    n, dim = len(ids), pss.pss_dim(params)
+    labels = np.array(data.draw(st.lists(st.integers(0, len(classes) - 1),
+                                         min_size=n, max_size=n)), np.int32)
+    features = data.draw(arrays(np.float64, (n, dim), elements=st.floats(width=64)))
+    path = tmp_path_factory.mktemp("pssa") / "a.pssa"
+    save_archive(FeatureArchive(params, classes, labels, ids, features), path)
+    back = load_archive(path)
+    assert (back.params, back.classes, back.ids) == (params, classes, ids)
+    _same_bits(back.labels, labels)
+    _same_bits(back.features, features)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_params, seed=st.integers(0, 2 ** 32 - 1), thr=st.floats(width=64),
+       noise=st.lists(st.floats(width=64), min_size=11, max_size=11), data=st.data())
+def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, data):
+    rng = np.random.default_rng(seed)
+
+    def block(dim, q, noise_var):
+        return PpcaModel(rng.standard_normal(dim), rng.standard_normal((dim, q)), noise_var,
+                         data.draw(arrays(np.float64, dim, elements=st.floats(width=64))), q)
+
+    layout = PssLayout.from_params(params)
+    groups = [block(size, data.draw(st.integers(1, min(size, 3))), nv)
+              for size, nv in zip(layout.sizes, noise)]
+    inter = sum(g.q for g in groups)
+    final = block(inter, data.draw(st.integers(1, inter)), noise[-1])
+    model = hppca.HppcaModel(groups, final, layout, thr)
+    path = tmp_path_factory.mktemp("hpca") / "m.hpca"
+    hppca.save_model(model, path)
+    back = hppca.load_model(path)
+    assert back.layout == layout
+    _same_bits(np.array(back.intermediate_threshold), np.array(thr))
+    for got, want in zip([*back.group_models, back.final_model], [*groups, final]):
+        assert got.q == want.q
+        _same_bits(np.array(got.noise_var), np.array(want.noise_var))
+        for name in ("mean", "loadings", "eigenvalues"):
+            _same_bits(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_params, data=st.data())
+def test_vector_round_trip_property(tmp_path_factory, params, data):
+    layout = PssLayout.from_params(params)
+    values = data.draw(arrays(np.float64, layout.dim, elements=st.floats(width=64)))
+    path = tmp_path_factory.mktemp("pssv") / "v.pssv"
+    pss.save_vector(pss.PssVector(values, layout), path)
+    back = pss.load_vector(path)
+    assert back.layout == layout
+    _same_bits(back.values, values)

@@ -143,8 +143,17 @@ class TestStatisticValues:
             extract(img, 2, 2, 3)
 
 
+def upsample(img, size):
+    """Band-limited interpolation onto a finer grid: zero-padded spectrum."""
+    small = img.shape[0]
+    spec = np.zeros((size, size), dtype=complex)
+    spec[(size - small) // 2:(size + small) // 2, (size - small) // 2:(size + small) // 2] = (
+        np.fft.fftshift(np.fft.fft2(img)) * (size / small) ** 2)
+    return np.fft.ifft2(np.fft.ifftshift(spec)).real
+
+
 def spatial_reference(img, n_sc, n_or, m):
-    """C3, C4, C6, C7, C9 and C10 computed from filtered images in space."""
+    """C3, C4, C6, C7, C8, C9 and C10 computed from filtered images in space."""
     stack = pyramid.transfer_stack(img.shape[0], n_sc, n_or)
     bands = [stack.filter_image(img, t) for level in stack.band_recon for t in level]
     levels = [stack.filter_image(img, t) for t in (*stack.scale_recon, stack.low_recon)]
@@ -160,11 +169,20 @@ def spatial_reference(img, n_sc, n_or, m):
 
     rho = np.corrcoef(np.stack([im.ravel() for im in bands + oriented]))
     block = [slice(lev * n_or, (lev + 1) * n_or) for lev in range(n_sc + 1)]
+    # C8: each coarser scale's magnitudes interpolated onto the finer grid
+    mags = [np.abs(level) for level in pyramid.build_pyramid(
+        img, pyramid.PyramidParams(n_sc, n_or)).bands]
+
+    def mag_corr(sa, sb):
+        side = img.shape[0] >> min(sa, sb)
+        rows = [upsample(mg, side).ravel() for mg in [*mags[sa], *mags[sb]]]
+        return np.corrcoef(np.stack(rows))[:n_or, n_or:]
     return {
         3: np.concatenate([acorr(im) for im in bands]),
         4: np.concatenate([acorr(im) for im in levels]),
         6: np.concatenate([rho[b, b].ravel() for b in block]),
         7: np.concatenate([rho[a, b].ravel() for a in block[:n_sc] for b in block]),
+        8: np.concatenate([mag_corr(sa, sb).ravel() for sa in range(n_sc) for sb in range(n_sc)]),
         9: np.array([im.mean() for im in bands] + [levels[-1].mean(), high.mean()]),
         10: np.array([high.var()]),
     }

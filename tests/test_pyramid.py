@@ -250,14 +250,3 @@ class TestTransferStack:
         w = rng.standard_normal((8, 8))
         lhs = np.sum(w * stack.low_grid(spec))
         np.testing.assert_allclose(lhs, np.sum(stack.low_grid_adjoint(w) * x), rtol=1e-12)
-
-    def test_upsample_adjoint_pairing(self, rng):
-        small = rng.standard_normal((8, 8))
-        big = rng.standard_normal((32, 32))
-        lhs = np.sum(big * P.upsample_to(small, 32))
-        rhs = np.sum(P.upsample_to_adjoint(big, 8) * small)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_upsample_validates_ratio(self):
-        with pytest.raises(ValueError):
-            P.upsample_to(np.zeros((8, 8)), 12)
