@@ -1,22 +1,24 @@
 """Feature archive files and class-folder dataset handling.
 
 An archive stores one statistic vector per image as fixed-size records
-behind a small header, so it can be scanned or memory-mapped without
-parsing. Datasets follow the one-directory-per-class convention; an
-optional JSON manifest can override the root, the class list, the
-per-class train/eval split counts and the preprocessing settings.
+behind the shared container header and the class list, so the records
+can be read with one structured view. Datasets follow the
+one-directory-per-class convention; an optional JSON manifest can
+override the root, the class list and the per-class train/eval split
+counts. Preprocessing comes only from the command line, so a manifest
+that sets it is rejected.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .pss import PssLayout, PssParams, PssVector, pss_dim
+from .pss import PssLayout, PssParams, PssVector, pack_container, pss_dim, read_container
 
 ARCHIVE_MAGIC = b"PSSA"
 ARCHIVE_VERSION = 1
@@ -38,12 +40,10 @@ class DatasetManifest:
     classes: list[str]
     train_count: int = 0   # 0 means "all available"
     eval_count: int = 0
-    preprocess: Preprocess = field(default_factory=Preprocess)
 
     def images(self, cls: str) -> list[Path]:
-        files = sorted(p for p in (self.root / cls).iterdir()
-                       if p.suffix.lower() in _IMAGE_SUFFIXES)
-        return files
+        return sorted(p for p in (self.root / cls).iterdir()
+                      if p.suffix.lower() in _IMAGE_SUFFIXES)
 
     def split(self, cls: str, which: str) -> list[Path]:
         """Deterministic split: the first train_count files train, the
@@ -60,28 +60,41 @@ class DatasetManifest:
         raise ValueError(f"unknown split {which!r}")
 
 
-def discover_dataset(root, manifest_path=None, preprocess: Preprocess | None = None,
-                     train_count: int = 0, eval_count: int = 0) -> DatasetManifest:
+def _manifest_count(spec: dict, key: str, default: int) -> int:
+    value = spec.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"manifest {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def discover_dataset(root, manifest_path=None, train_count: int = 0,
+                     eval_count: int = 0) -> DatasetManifest:
     """Build a manifest by scanning class folders, or from a JSON file."""
     if manifest_path is not None:
         spec = json.loads(Path(manifest_path).read_text())
-        pp = spec.get("preprocess", {})
-        return DatasetManifest(
-            root=Path(spec.get("root", root)),
-            classes=list(spec["classes"]),
-            train_count=int(spec.get("train_count", train_count)),
-            eval_count=int(spec.get("eval_count", eval_count)),
-            preprocess=Preprocess(int(pp.get("size", 128)),
-                                  float(pp.get("mean", 127.0)),
-                                  float(pp.get("std", 40.0))))
+        if not isinstance(spec, dict):
+            raise ValueError(f"manifest {manifest_path} must be a JSON object")
+        if "preprocess" in spec:
+            raise ValueError("manifest 'preprocess' is not supported; "
+                             "use --size/--norm-mean/--norm-std")
+        classes = spec.get("classes")
+        if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
+                or len(set(classes)) != len(classes)):
+            raise ValueError(f"manifest 'classes' must be a list of distinct names, "
+                             f"got {classes!r}")
+        mroot = spec.get("root", root)
+        if not isinstance(mroot, (str, Path)):
+            raise ValueError(f"manifest 'root' must be a path, got {mroot!r}")
+        return DatasetManifest(Path(mroot), classes,
+                               _manifest_count(spec, "train_count", train_count),
+                               _manifest_count(spec, "eval_count", eval_count))
     rootp = Path(root)
     if not rootp.is_dir():
         raise FileNotFoundError(f"dataset root {rootp} is not a directory")
     classes = sorted(p.name for p in rootp.iterdir() if p.is_dir())
     if not classes:
         raise ValueError(f"dataset root {rootp} contains no class directories")
-    return DatasetManifest(rootp, classes, train_count, eval_count,
-                           preprocess or Preprocess())
+    return DatasetManifest(rootp, classes, train_count, eval_count)
 
 
 @dataclass
@@ -125,36 +138,21 @@ def save_archive(arch: FeatureArchive, path) -> None:
         if first != ident:
             raise ValueError(f"image ids {first!r} and {ident!r} collide when cut "
                              f"to {_ID_BYTES} UTF-8 bytes")
-    head = [ARCHIVE_MAGIC,
-            struct.pack("<IIIIII", ARCHIVE_VERSION, p.n_scales, p.n_orientations,
-                        p.neighborhood, dim, n),
-            struct.pack("<I", len(arch.classes))]
-    for name in arch.classes:
-        enc = name.encode("utf-8")
-        head.append(struct.pack("<H", len(enc)) + enc)
+    names = [name.encode("utf-8") for name in arch.classes]
     recs = np.zeros(n, _record_dtype(dim))
     recs["label"] = labels
     recs["id"] = [key.encode("utf-8") for key in cut]
     recs["features"] = arch.features
-    Path(path).write_bytes(b"".join(head) + recs.tobytes())
+    body = b"".join(struct.pack("<H", len(enc)) + enc for enc in names) + recs.tobytes()
+    Path(path).write_bytes(pack_container(ARCHIVE_MAGIC, ARCHIVE_VERSION, p, "III",
+                                          [dim, n, len(names)], body))
 
 
 def load_archive(path) -> FeatureArchive:
-    buf = Path(path).read_bytes()
-    if buf[:4] != ARCHIVE_MAGIC:
-        raise ValueError(f"corrupt container: {path} is not a feature archive")
-    if len(buf) < 32:
-        raise ValueError(f"corrupt container: {path} has a truncated header")
-    ver, nsc, nor, m, dim, count = struct.unpack_from("<IIIIII", buf, 4)
-    if ver != ARCHIVE_VERSION:
-        raise ValueError(
-            f"version mismatch: file has {ver}, this build reads {ARCHIVE_VERSION}")
-    params = PssParams(nsc, nor, m)
+    buf, params, (dim, count, n_classes), pos = read_container(
+        path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "III", "feature archive")
     if dim != pss_dim(params):
         raise ValueError("corrupt container: dimension header mismatch")
-    pos = 28
-    (n_classes,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
     classes = []
     for _ in range(n_classes):
         if pos + 2 > len(buf):

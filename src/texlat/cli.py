@@ -13,7 +13,6 @@ import logging
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -80,7 +79,7 @@ def cmd_extract(args) -> int:
     params = _params(args)
     pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
-                                   pp, args.train_count, args.eval_count)
+                                   args.train_count, args.eval_count)
     tasks = []
     for label, cls in enumerate(manifest.classes):
         files = manifest.split(cls, args.split)
@@ -208,26 +207,18 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # eval
 
-def _eval_one(model, cfg, patch, task):
-    index, image_id, img = task
-    run_cfg = replace(cfg, seed=cfg.seed + index, size=img.shape[0])
-    score, rel, count = synthesis.evaluate_image(model, img, run_cfg, patch)
-    return synthesis.EvalRow(image_id, score, rel, count)
-
-
 def _eval_rows(model, items, args):
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
     # the partial carries the context to workers under every start method
-    return _pmap(partial(_eval_one, model, cfg, args.patch_size),
-                 [(i, ident, img) for i, (ident, img) in enumerate(items)],
-                 args.jobs)
+    return _pmap(partial(synthesis.evaluate_row, model, cfg, args.patch_size),
+                 list(enumerate(items)), args.jobs)
 
 
 def cmd_eval(args) -> int:
     model = hppca.load_model(args.model)
     pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
-                                   pp, args.train_count, args.eval_count)
+                                   args.train_count, args.eval_count)
     items, classes = [], []
     for cls in manifest.classes:
         files = manifest.split(cls, args.split)
@@ -281,31 +272,25 @@ def cmd_info(args) -> int:
     head = Path(args.path).read_bytes()[:4]
     if head == ar.ARCHIVE_MAGIC:
         arch = ar.load_archive(args.path)
-        p = arch.params
-        print(f"feature archive: {arch.features.shape[0]} records, "
-              f"D={arch.features.shape[1]}")
-        print(f"parameters: scales={p.n_scales} orients={p.n_orientations} "
-              f"neighbor={p.neighborhood}")
         counts = {c: int((arch.labels == i).sum()) for i, c in enumerate(arch.classes)}
-        print(f"classes: {counts}")
+        p, lines = arch.params, [f"feature archive: {arch.features.shape[0]} records, "
+                                 f"D={arch.features.shape[1]}", f"classes: {counts}"]
     elif head == hppca.MODEL_MAGIC:
         model = hppca.load_model(args.path)
-        p = model.params
-        print(f"model: D={model.pss_dim} intermediate={model.intermediate_dim} "
-              f"output={model.output_dim}")
-        print(f"parameters: scales={p.n_scales} orients={p.n_orientations} "
-              f"neighbor={p.neighborhood}")
-        print(f"ccr threshold: {model.intermediate_threshold!r}")
-        print(f"group latents: {list(model.group_dims)}")
-        print(f"reduction rate: {100.0 * hppca.reduction_rate(model):.1f}%")
-    elif head == pss._VECTOR_MAGIC:
+        p, lines = model.params, [
+            f"model: D={model.pss_dim} intermediate={model.intermediate_dim} "
+            f"output={model.output_dim}",
+            f"ccr threshold: {model.intermediate_threshold!r}",
+            f"group latents: {list(model.group_dims)}",
+            f"reduction rate: {100.0 * hppca.reduction_rate(model):.1f}%"]
+    elif head == pss.VECTOR_MAGIC:
         vec = pss.load_vector(args.path)
-        p = vec.params
-        print(f"statistic vector: D={vec.values.size}")
-        print(f"parameters: scales={p.n_scales} orients={p.n_orientations} "
-              f"neighbor={p.neighborhood}")
+        p, lines = vec.params, [f"statistic vector: D={vec.values.size}"]
     else:
         raise ValueError(f"{args.path}: unrecognized file magic {head!r}")
+    lines.insert(1, f"parameters: scales={p.n_scales} orients={p.n_orientations} "
+                    f"neighbor={p.neighborhood}")
+    print("\n".join(lines))
     return 0
 
 

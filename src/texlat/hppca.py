@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ppca
 from .ppca import PpcaModel
-from .pss import PssLayout, PssParams, PssVector
+from .pss import PssLayout, PssParams, PssVector, pack_container, read_container
 
 MODEL_MAGIC = b"HPCA"
 MODEL_VERSION = 1
@@ -180,28 +180,18 @@ def _unpack_block(buf: bytes, pos: int) -> tuple[PpcaModel, int]:
 
 def save_model(model: HppcaModel, path) -> None:
     """Write the full two-stage model; load_model restores it bit-exactly."""
-    p = model.params
-    if p is None:
+    if model.params is None:
         raise ValueError("only parameter-derived layouts are serializable")
-    head = MODEL_MAGIC + struct.pack(
-        "<IIIIdII", MODEL_VERSION, p.n_scales, p.n_orientations, p.neighborhood,
-        model.intermediate_threshold, model.output_dim, model.pss_dim)
-    blocks = b"".join(_pack_block(m) for m in model.group_models)
-    Path(path).write_bytes(head + blocks + _pack_block(model.final_model))
+    blocks = b"".join(_pack_block(m) for m in [*model.group_models, model.final_model])
+    Path(path).write_bytes(pack_container(
+        MODEL_MAGIC, MODEL_VERSION, model.params, "dII",
+        [model.intermediate_threshold, model.output_dim, model.pss_dim], blocks))
 
 
 def load_model(path) -> HppcaModel:
-    buf = Path(path).read_bytes()
-    if buf[:4] != MODEL_MAGIC:
-        raise ValueError(f"corrupt container: {path} is not a model file")
-    pos = 4 + struct.calcsize("<IIIIdII")
-    if len(buf) < pos:
-        raise ValueError(f"corrupt container: {path} has a truncated header")
-    ver, n, k, m, thr, d, dim = struct.unpack_from("<IIIIdII", buf, 4)
-    if ver != MODEL_VERSION:
-        raise ValueError(
-            f"version mismatch: file has {ver}, this build reads {MODEL_VERSION}")
-    layout = PssLayout.from_params(PssParams(n, k, m))
+    buf, params, (thr, d, dim), pos = read_container(path, MODEL_MAGIC, MODEL_VERSION,
+                                                     "dII", "model file")
+    layout = PssLayout.from_params(params)
     if layout.dim != dim:
         raise ValueError("corrupt container: dimension header mismatch")
     groups = []

@@ -521,35 +521,46 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# single-vector serialization
+# containers: magic, then u32 version, N, K, M, then kind fields, then body
 
-_VECTOR_MAGIC = b"PSSV"
-_VECTOR_VERSION = 1
+VECTOR_MAGIC = b"PSSV"
+VECTOR_VERSION = 1
+
+
+def pack_container(magic: bytes, version: int, params: PssParams, kind: str,
+                   fields, body: bytes) -> bytes:
+    """Header plus body; `kind` is the struct format of the kind fields."""
+    return magic + struct.pack(f"<4I{kind}", version, params.n_scales,
+                               params.n_orientations, params.neighborhood,
+                               *fields) + body
+
+
+def read_container(path, magic: bytes, version: int, kind: str, what: str):
+    """Check magic, header length and version; return (bytes, params, fields, body offset)."""
+    buf = Path(path).read_bytes()
+    if buf[:4] != magic:
+        raise ValueError(f"corrupt container: {path} is not a {what}")
+    head = struct.Struct(f"<4I{kind}")
+    if len(buf) < 4 + head.size:
+        raise ValueError(f"corrupt container: {path} has a truncated header")
+    ver, n, k, m, *fields = head.unpack_from(buf, 4)
+    if ver != version:
+        raise ValueError(f"version mismatch: file has {ver}, this build reads {version}")
+    return buf, PssParams(n, k, m), fields, 4 + head.size
 
 
 def save_vector(v: PssVector, path) -> None:
     """Write one vector as a small self-describing binary file."""
     if v.params is None:
         raise ValueError("only parameter-derived layouts are serializable")
-    p = v.params
-    head = _VECTOR_MAGIC + struct.pack(
-        "<IIIII", _VECTOR_VERSION, p.n_scales, p.n_orientations,
-        p.neighborhood, v.values.size)
-    Path(path).write_bytes(head + v.values.astype("<f8").tobytes())
+    Path(path).write_bytes(pack_container(VECTOR_MAGIC, VECTOR_VERSION, v.params, "I",
+                                          [v.values.size], v.values.astype("<f8").tobytes()))
 
 
 def load_vector(path) -> PssVector:
-    buf = Path(path).read_bytes()
-    if buf[:4] != _VECTOR_MAGIC:
-        raise ValueError(f"corrupt container: {path} is not a statistic vector file")
-    if len(buf) < 24:
-        raise ValueError(f"corrupt container: {path} has a truncated header")
-    ver, n, k, m, dim = struct.unpack_from("<IIIII", buf, 4)
-    if ver != _VECTOR_VERSION:
-        raise ValueError(
-            f"version mismatch: file has {ver}, this build reads {_VECTOR_VERSION}")
-    params = PssParams(n, k, m)
-    if dim != pss_dim(params) or len(buf) != 24 + 8 * dim:
+    buf, params, (dim,), pos = read_container(path, VECTOR_MAGIC, VECTOR_VERSION, "I",
+                                              "statistic vector file")
+    if dim != pss_dim(params) or len(buf) != pos + 8 * dim:
         raise ValueError(f"corrupt container: {path} has inconsistent sizes")
-    values = np.frombuffer(buf, dtype="<f8", offset=24).astype(np.float64)
+    values = np.frombuffer(buf, dtype="<f8", offset=pos).astype(np.float64)
     return PssVector(values, PssLayout.from_params(params))

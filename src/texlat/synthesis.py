@@ -24,6 +24,11 @@ from . import pss as pss_mod
 from .pss import NumericError, PssVector
 
 WEIGHT_FLOOR = 1e-8
+INITIAL_STEP = 1.0   # first trial step per unit gradient RMS
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.5
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 30
 
 
 @dataclass
@@ -31,11 +36,6 @@ class SynthesisConfig:
     iterations: int = 50
     seed: int = 0
     size: int = 128
-    initial_step: float = 1.0   # first trial step per unit gradient RMS
-    step_growth: float = 2.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 30
     weights: np.ndarray | None = None  # ten group weights; None = from target
 
     def __post_init__(self):
@@ -122,21 +122,21 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
             trace.append(fval)
             continue
         if step is None:
-            step = cfg.initial_step / np.sqrt(gn2 / x.size)
+            step = INITIAL_STEP / np.sqrt(gn2 / x.size)
         else:
-            step *= cfg.step_growth
+            step *= STEP_GROWTH
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = x - step * grad
             try:
                 cvals, ccache = pss_mod._forward(cand, params)
                 cf = objective(cvals)
             except NumericError:
                 cf = np.inf
-            if cf <= fval - cfg.armijo * step * gn2:
+            if cf <= fval - ARMIJO * step * gn2:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if accepted:
             x, values, cache, fval = cand, cvals, ccache, cf
         trace.append(fval)
@@ -237,19 +237,18 @@ def evaluate_image(model, image, cfg: SynthesisConfig,
     return score, rel, count
 
 
+def evaluate_row(model, cfg: SynthesisConfig, patch_size: int, task) -> EvalRow:
+    """Evaluate image `index` of a set with seed cfg.seed + index at its own size,
+    so a report is independent of any parallel scheduling."""
+    index, (image_id, img) = task
+    run_cfg = replace(cfg, seed=cfg.seed + index, size=np.asarray(img).shape[0])
+    return EvalRow(image_id, *evaluate_image(model, img, run_cfg, patch_size))
+
+
 def evaluate_model(model, images: Iterable[tuple[str, np.ndarray]],
                    cfg: SynthesisConfig, patch_size: int = 19) -> list[EvalRow]:
-    """Extract, encode, decode, synthesize and score each image.
-
-    Per-image seeds derive from cfg.seed plus the input position, so the
-    report is deterministic and independent of any parallel scheduling.
-    """
-    rows = []
-    for index, (image_id, img) in enumerate(images):
-        size = np.asarray(img).shape[0]
-        run_cfg = replace(cfg, seed=cfg.seed + index, size=size)
-        score, rel, count = evaluate_image(model, img, run_cfg, patch_size)
-        rows.append(EvalRow(image_id, score, rel, count))
+    """Extract, encode, decode, synthesize and score each image."""
+    rows = [evaluate_row(model, cfg, patch_size, task) for task in enumerate(images)]
     if not rows:
         raise ValueError("empty image set")
     return rows

@@ -1,10 +1,11 @@
 import csv
+import json
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from texlat import cli, hppca, image
+from texlat import cli, hppca, image, synthesis
 from texlat.archive import load_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
@@ -85,6 +86,36 @@ class TestExtract:
         out = tmp_path / "f.pssa"
         assert run("extract", root, "-o", out, "--size", "64") == 0
         assert load_archive(out).features.shape[1] == 1784
+
+
+class TestManifest:
+    def test_manifest_selects_classes_and_train_count(self, pgm_dataset, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"classes": ["beta"], "train_count": 2}))
+        out = tmp_path / "f.pssa"
+        assert run("extract", pgm_dataset, "--manifest", manifest, "--split", "train",
+                   "-o", out, *PARAMS) == 0
+        arch = load_archive(out)
+        assert arch.classes == ["beta"]
+        assert arch.ids == ["beta/b0.pgm", "beta/b1.pgm"]
+
+    @pytest.mark.parametrize("spec, reason", [
+        ({"train_count": 1}, "'classes'"),
+        ({"classes": "alpha"}, "'classes'"),
+        ({"classes": ["alpha", "alpha"]}, "'classes'"),
+        ([1, 2], "JSON object"),
+        ({"classes": ["alpha"], "train_count": 1.5}, "'train_count'"),
+        ({"classes": ["alpha"], "preprocess": {"size": 16}}, "--size/--norm-mean/--norm-std"),
+    ], ids=["no-classes", "classes-not-list", "repeated-class", "not-an-object", "float-count", "preprocess"])
+    def test_malformed_manifest_exits_two_naming_the_key(self, pgm_dataset, tmp_path,
+                                                          capsys, spec, reason):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(spec))
+        code = run("extract", pgm_dataset, "--manifest", manifest,
+                   "-o", tmp_path / "f.pssa", *PARAMS)
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "f.pssa").exists()
 
 
 class TestTrain:
@@ -210,6 +241,20 @@ class TestEval:
         assert len(rows) == 2
         assert rows[1][0] == "3"
         assert -1.0 <= float(rows[1][3]) <= 1.0
+
+    def test_report_is_the_mean_of_evaluate_model_rows(self, trained, tmp_path):
+        root, _, model_path = trained
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--iterations", "2", "--patch-size", "9") == 0
+        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
+                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
+        rows = synthesis.evaluate_model(hppca.load_model(model_path), items,
+                                        synthesis.SynthesisConfig(iterations=2), 9)
+        tss = [r.tss for r in rows]
+        expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
+                  np.mean([r.pss_rel_err for r in rows])]
+        assert [float(x) for x in read_csv(report)[1][1:]] == [float(x) for x in expect]
 
     def test_jobs_do_not_change_report(self, trained, tmp_path):
         root, _, model_path = trained

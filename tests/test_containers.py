@@ -1,5 +1,7 @@
 """Every container texlat writes either loads or fails with ValueError."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,29 @@ def test_info_on_short_header_exits_two(tmp_path, capsys, magic):
     path.write_bytes(magic.encode() + b"\x01\x00")
     assert cli.main(["info", str(path)]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+# the README layout: magic, u32 version, N, K, M, then each kind's fields
+D = pss.pss_dim(PARAMS)
+HEADERS = {"PSSA": struct.pack("<4s7I", b"PSSA", 1, 1, 1, 3, D, 2, 2),
+           "HPCA": struct.pack("<4s4IdII", b"HPCA", 1, 1, 1, 3, 0.9, 2, D),
+           "PSSV": struct.pack("<4s5I", b"PSSV", 1, 1, 1, 3, D)}
+
+
+@pytest.mark.parametrize("magic", sorted(CONTAINERS))
+def test_header_bytes_follow_the_documented_layout(valid_files, magic):
+    head = HEADERS[magic]
+    assert valid_files[1][magic][:len(head)] == head
+
+
+@pytest.mark.parametrize("magic", sorted(CONTAINERS))
+def test_info_on_other_version_exits_two_naming_both(valid_files, tmp_path, capsys, magic):
+    raw = bytearray(valid_files[1][magic])
+    raw[4] = 9
+    path = tmp_path / "v9.bin"
+    path.write_bytes(bytes(raw))
+    assert cli.main(["info", str(path)]) == 2
+    assert "version mismatch: file has 9, this build reads 1" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)
