@@ -110,8 +110,9 @@ def test_single_byte_flip_loads_or_raises_value_error(valid_files, magic, where,
 
 _params = st.sampled_from([PssParams(1, 1, 3), PssParams(2, 2, 3), PssParams(1, 3, 5)])
 # an id is a NUL-padded field of 96 UTF-8 bytes, so it can neither end in
-# NUL nor be longer; the class list is length-prefixed and takes any text
-_ids = st.text(st.characters(blacklist_characters="\0"), max_size=40).filter(
+# NUL nor be longer, nor hold a lone surrogate, which UTF-8 cannot encode;
+# the class list is length-prefixed and takes any text
+_ids = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=40).filter(
     lambda s: len(s.encode("utf-8")) <= 96)
 
 
