@@ -207,13 +207,6 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # eval
 
-def _eval_rows(model, items, args):
-    cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
-    # the partial carries the context to workers under every start method
-    return _pmap(partial(synthesis.evaluate_row, model, cfg, args.patch_size),
-                 list(enumerate(items)), args.jobs)
-
-
 def cmd_eval(args) -> int:
     model = hppca.load_model(args.model)
     pp = _preprocess(args)
@@ -248,9 +241,14 @@ def cmd_eval(args) -> int:
     class_names = list(manifest.classes)
     header = (["value"] + [f"tss_{c}" for c in class_names]
               + ["tss_all", "pss_err_all"])
+    cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
+    # one task per image, scored against every swept model; the partial
+    # carries the context to workers under every start method
+    per_image = _pmap(partial(synthesis.evaluate_image, [m for _, m in sweeps], cfg,
+                              args.patch_size), list(enumerate(items)), args.jobs)
     out_rows = []
-    for value, swept in sweeps:
-        rows = _eval_rows(swept, items, args)
+    for j, (value, _) in enumerate(sweeps):
+        rows = [image_rows[j] for image_rows in per_image]
         by_class = {c: [] for c in class_names}
         for cls, row in zip(classes, rows):
             by_class[cls].append(row.tss)

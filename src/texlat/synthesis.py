@@ -8,7 +8,14 @@ target's groups so every group starts with an O(1) contribution.
 
 The similarity score between a synthesized sample patch and a source
 texture is the maximum cosine similarity between the raw sample pixel
-vector and every stride-1 patch of the source.
+vector and every stride-1 patch of the source. The dot products with all
+patches are one FFT cross-correlation of the sample against the source
+spectrum, and the patch norms are computed once per source (fast
+normalized cross-correlation, Lewis 1995).
+
+Evaluation extracts each image's statistic once and scores it against
+every model of a sweep, so a sweep over d costs one source statistic per
+image, not one per image and d.
 """
 
 from __future__ import annotations
@@ -151,20 +158,24 @@ class TssReport:
     location: tuple[int, int]  # top-left of the best-matching source patch
 
 
-def _source_patches(source, p: int):
-    """Every p x p window of the source and the norm of each."""
+def _source_spectrum(source, p: int):
+    """What every p x p sample needs of the source: its spectrum, its
+    shape and the inverse norm of each window (0 for a zero window)."""
     x = np.asarray(source, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
         raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
     windows = sliding_window_view(x, (p, p))
-    return windows, np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
+    norms = np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
+    inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return np.fft.rfft2(x), x.shape, inv_norms
 
 
-def _best_match(s, windows, norms) -> TssReport:
-    dots = np.einsum("ijkl,kl->ij", windows, s)
+def _best_match(s, spec, shape, inv_norms) -> TssReport:
+    # correlation with every window at once; offsets up to shape - p never wrap
+    dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * spec, s=shape)
     sn = float(np.linalg.norm(s))
-    denom = norms * sn
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    ny, nx = inv_norms.shape
+    sims = dots[:ny, :nx] * inv_norms / sn if sn > 0 else np.zeros_like(inv_norms)
     best = int(np.argmax(sims))
     loc = np.unravel_index(best, sims.shape)
     return TssReport(float(sims.flat[best]), s.shape[0], sims.size, (int(loc[0]), int(loc[1])))
@@ -183,7 +194,7 @@ def tss(sample, source, patch_size: int | None = None) -> TssReport:
     p = s.shape[0]
     if patch_size is not None and patch_size != p:
         raise ValueError(f"sample is {p}x{p} but patch size {patch_size} was requested")
-    return _best_match(s, *_source_patches(source, p))
+    return _best_match(s, *_source_spectrum(source, p))
 
 
 def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
@@ -199,13 +210,13 @@ def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
         raise ValueError(f"image {a.shape} holds no {patch_size}px sample")
     oy = (a.shape[0] - ny * patch_size) // 2
     ox = (a.shape[1] - nx * patch_size) // 2
-    patches = _source_patches(source, patch_size)
+    source_terms = _source_spectrum(source, patch_size)
     scores = []
     for iy in range(ny):
         for ix in range(nx):
             y0, x0 = oy + iy * patch_size, ox + ix * patch_size
             tile = a[y0:y0 + patch_size, x0:x0 + patch_size]
-            scores.append(_best_match(tile, *patches).tss)
+            scores.append(_best_match(tile, *source_terms).tss)
     return float(np.mean(scores)), len(scores)
 
 
@@ -217,38 +228,36 @@ class EvalRow:
     samples: int
 
 
-def evaluate_image(model, image, cfg: SynthesisConfig,
-                   patch_size: int = 19) -> tuple[float, float, int]:
-    """Compress one image through the model, resynthesize and score it.
+def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[EvalRow]:
+    """Score image `index` of a set against each model, one row per model.
 
-    Returns (mean sample similarity, relative statistic reconstruction
-    error, sample count). Uses cfg.seed and cfg.size exactly as given.
+    The image's statistic is extracted once; for each model it is
+    encoded, decoded, resynthesized with seed cfg.seed + index at the
+    image's own size and scored against the image, so a report is
+    independent of any parallel scheduling.
     """
-    params = model.params
+    index, (image_id, img) = task
+    a = np.asarray(img, dtype=np.float64)
+    params = models[0].params
     if params is None:
         raise ValueError("model must carry a parameter-derived layout")
-    a = np.asarray(image, dtype=np.float64)
+    run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
-    decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
-    rel = float(np.linalg.norm(decoded.values - v.values)
-                / max(np.linalg.norm(v.values), 1e-300))
-    synth, _ = synthesize(decoded, cfg)
-    score, count = sample_grid_tss(synth, a, patch_size)
-    return score, rel, count
-
-
-def evaluate_row(model, cfg: SynthesisConfig, patch_size: int, task) -> EvalRow:
-    """Evaluate image `index` of a set with seed cfg.seed + index at its own size,
-    so a report is independent of any parallel scheduling."""
-    index, (image_id, img) = task
-    run_cfg = replace(cfg, seed=cfg.seed + index, size=np.asarray(img).shape[0])
-    return EvalRow(image_id, *evaluate_image(model, img, run_cfg, patch_size))
+    rows = []
+    for model in models:
+        decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
+        rel = float(np.linalg.norm(decoded.values - v.values)
+                    / max(np.linalg.norm(v.values), 1e-300))
+        synth, _ = synthesize(decoded, run_cfg)
+        score, count = sample_grid_tss(synth, a, patch_size)
+        rows.append(EvalRow(image_id, score, rel, count))
+    return rows
 
 
 def evaluate_model(model, images: Iterable[tuple[str, np.ndarray]],
                    cfg: SynthesisConfig, patch_size: int = 19) -> list[EvalRow]:
     """Extract, encode, decode, synthesize and score each image."""
-    rows = [evaluate_row(model, cfg, patch_size, task) for task in enumerate(images)]
+    rows = [evaluate_image([model], cfg, patch_size, task)[0] for task in enumerate(images)]
     if not rows:
         raise ValueError("empty image set")
     return rows

@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from texlat import cli, hppca, image, synthesis
+from texlat import cli, hppca, image, pss, synthesis
 from texlat.archive import load_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
@@ -267,13 +267,21 @@ class TestEval:
             outs.append(report.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-    def test_jobs_match_under_start_method(self, trained, tmp_path, monkeypatch, method):
+    @pytest.mark.parametrize("method, sweep", [
+        pytest.param("forkserver", False, id="forkserver"),
+        pytest.param("spawn", False, id="spawn"),
+        pytest.param("forkserver", True, id="forkserver-sweep"),
+        pytest.param("spawn", True, id="spawn-sweep"),
+    ])
+    def test_jobs_match_under_start_method(self, trained, tmp_path, monkeypatch,
+                                           method, sweep):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method} is not available here")
-        root, _, model_path = trained
+        root, arch, model_path = trained
         argv = ["eval", model_path, root, "--size", "32", "--iterations", "1",
                 "--patch-size", "9"]
+        if sweep:  # each task then carries every swept model
+            argv += ["--archive", arch, "--sweep-dim", "2,3"]
         assert run(*argv, "-o", tmp_path / "r1.csv", "--jobs", "1") == 0
         monkeypatch.setattr(multiprocessing, "Pool",
                             multiprocessing.get_context(method).Pool)
@@ -288,6 +296,33 @@ class TestEval:
                    "--iterations", "1", "--patch-size", "9") == 0
         rows = read_csv(report)
         assert [r[0] for r in rows[1:]] == ["2", "3"]
+
+    def test_sweep_extracts_each_image_once(self, trained, tmp_path, monkeypatch):
+        root, arch_path, model_path = trained
+        calls = []
+        extract = pss.extract_pss
+        monkeypatch.setattr(pss, "extract_pss",
+                            lambda img, params: calls.append(1) or extract(img, params))
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--archive", arch_path, "--sweep-dim", "2,3",
+                   "--iterations", "1", "--patch-size", "9") == 0
+        assert len(calls) == 6  # one per image, not one per image and d
+
+        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
+                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
+        arch, model = load_archive(arch_path), hppca.load_model(model_path)
+        body = read_csv(report)[1:]
+        for d, row in zip((2, 3), body):
+            swept = hppca.fit_hierarchy(arch.features, model.intermediate_threshold, d,
+                                        layout=arch.layout)
+            rows = synthesis.evaluate_model(swept, items,
+                                            synthesis.SynthesisConfig(iterations=1), 9)
+            tss = [r.tss for r in rows]
+            expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
+                      np.mean([r.pss_rel_err for r in rows])]
+            assert row[0] == str(d)
+            assert [float(x) for x in row[1:]] == [float(x) for x in expect]
 
     def test_sweep_without_archive_fails(self, trained, tmp_path):
         root, _, model_path = trained

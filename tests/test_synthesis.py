@@ -178,6 +178,32 @@ class TestTss:
         rep = synthesis.tss(np.zeros((3, 3)), rng.standard_normal((6, 6)))
         assert rep.tss == 0.0
 
+    def test_fft_kernel_matches_oracle_at_eval_geometry(self, rng):
+        source = rng.uniform(0, 255, size=(128, 128))
+        sample = rng.uniform(0, 255, size=(19, 19))
+        rep = synthesis.tss(sample, source)
+        best, arg = brute_force_tss(sample, source)
+        assert rep.tss == pytest.approx(best, abs=1e-12)
+        assert rep.location == arg
+        assert rep.candidates == 110 * 110
+
+    def test_source_patch_copy_scores_one_at_eval_geometry(self, rng):
+        source = rng.uniform(0, 255, size=(128, 128))
+        rep = synthesis.tss(source[37:56, 81:100].copy(), source)
+        assert abs(rep.tss - 1.0) <= 1e-12
+        assert rep.location == (37, 81)
+
+    def test_zero_source_windows_score_exactly_zero_at_eval_geometry(self, rng):
+        source = rng.uniform(1, 255, size=(128, 128))
+        source[:24] = 0.0
+        # every window that reaches a nonzero row has a negative dot product
+        # with this sample, so the best score is that of an all-zero window
+        sample = -rng.uniform(1, 255, size=(19, 19))
+        rep = synthesis.tss(sample, source)
+        assert rep.tss == 0.0
+        assert rep.location == (0, 0)
+        assert brute_force_tss(sample, source) == (0.0, (0, 0))
+
     def test_size_validation(self, rng):
         with pytest.raises(ValueError):
             synthesis.tss(rng.standard_normal((9, 9)), rng.standard_normal((8, 8)))
