@@ -134,6 +134,11 @@ def _load_codes(path):
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError(f"{path} is not a codes CSV (missing header)")
+    if len(rows) < 2:
+        raise ValueError(f"{path} has no code rows")
+    for i, r in enumerate(rows[1:], start=1):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"{path}: row {i} has {len(r)} values, header has {len(rows[0])}")
     ids = [r[0] for r in rows[1:]]
     codes = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
     return ids, codes

@@ -110,11 +110,6 @@ def fit_hierarchy(dataset, threshold: float, output_dim: int,
     return HppcaModel(groups, final, layout, threshold)
 
 
-def _check_layout(model: HppcaModel, layout: PssLayout) -> None:
-    if layout.sizes != model.layout.sizes or layout.params != model.layout.params:
-        raise ValueError("vector layout does not match the model")
-
-
 def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     latents = [ppca.encode(g, x[:, model.layout.group_slice(i + 1)])
@@ -134,7 +129,8 @@ def decode_batch(model: HppcaModel, codes: np.ndarray) -> np.ndarray:
 
 def encode(model: HppcaModel, v: PssVector) -> np.ndarray:
     """Group-wise encode, concatenate, final encode."""
-    _check_layout(model, v.layout)
+    if v.layout != model.layout:
+        raise ValueError("vector layout does not match the model")
     return encode_batch(model, v.values[None, :])[0]
 
 

@@ -8,9 +8,11 @@ leading eigenvectors into the loading matrix. The rotation ambiguity is
 fixed to the identity and eigenvector signs are pinned, so fits are
 reproducible and serializable.
 
-Encoding returns the posterior mean; decoding applies the inverse
-scaling that makes decode(encode(x)) the orthogonal projection of x
-onto the principal subspace.
+The loadings are scaled orthogonal eigenvectors, so W'W is diagonal and
+encoding and decoding are one scaling per latent, g = diag(W'W): the
+posterior mean is W'(x - mu) / (g + sigma^2), and decoding rescales by
+(g + sigma^2) / g before W z + mu, so decode(encode(x)) is the orthogonal
+projection of x onto the principal subspace.
 """
 
 from __future__ import annotations
@@ -91,32 +93,23 @@ def fit(data, q: int) -> PpcaModel:
 
 
 def encode(model: PpcaModel, x) -> np.ndarray:
-    """Posterior mean of the latent: (W'W + sigma^2 I)^-1 W' (x - mu)."""
+    """Posterior mean of the latent: W'(x - mu) / (g + sigma^2), g = diag(W'W)."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape[-1] != model.dim:
         raise ValueError(f"input dimension {xv.shape[-1]} != model dimension {model.dim}")
     w = model.loadings
-    m = w.T @ w + model.noise_var * np.eye(model.q)
-    rhs = (xv - model.mean) @ w
-    if model.noise_var > 0:
-        return np.linalg.solve(m, rhs.T).T
-    return (np.linalg.pinv(m) @ rhs.T).T
+    den = np.einsum("ij,ij->j", w, w) + model.noise_var
+    return ((xv - model.mean) @ w) / np.where(den > 0, den, np.inf)  # 0 at den = 0
 
 
 def decode(model: PpcaModel, z) -> np.ndarray:
-    """Map latents back so decode(encode(x)) projects onto the subspace."""
+    """Undo the posterior shrinkage, so decode(encode(x)) projects onto the subspace."""
     zv = np.asarray(z, dtype=np.float64)
     if zv.shape[-1] != model.q:
         raise ValueError(f"latent dimension {zv.shape[-1]} != model q {model.q}")
     w = model.loadings
-    if model.noise_var > 0:
-        wtw = w.T @ w
-        try:
-            scale = np.linalg.solve(wtw, wtw + model.noise_var * np.eye(model.q))
-            return zv @ scale.T @ w.T + model.mean
-        except np.linalg.LinAlgError:
-            pass  # rank-deficient loadings: plain generative map
-    return zv @ w.T + model.mean
+    g = np.einsum("ij,ij->j", w, w)
+    return (zv * ((g + model.noise_var) / np.where(g > 0, g, np.inf))) @ w.T + model.mean
 
 
 def cumulative_contribution(eigenvalues) -> np.ndarray:

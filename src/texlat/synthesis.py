@@ -204,6 +204,8 @@ def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
     fit, centered; each tile is scored against every source patch, whose
     norms are computed once for all tiles.
     """
+    if patch_size < 1:
+        raise ValueError(f"patch size must be >= 1, got {patch_size}")
     a = np.asarray(image, dtype=np.float64)
     ny, nx = a.shape[0] // patch_size, a.shape[1] // patch_size
     if ny < 1 or nx < 1:

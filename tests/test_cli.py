@@ -177,6 +177,18 @@ class TestEncodeDecode:
         bad.write_text("id,c0\nx,1.0\n")
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
 
+    @pytest.mark.parametrize("text, reason", [
+        pytest.param("id,c0,c1,c2\n", "no code rows", id="header-only"),
+        pytest.param("id,c0,c1,c2\nx,1,2,3\ny,1,2\n", "row 2 has 3 values, header has 4",
+                     id="ragged"),
+    ])
+    def test_malformed_codes_name_the_reason(self, trained, tmp_path, capsys, text, reason):
+        _, _, model_path = trained
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
+        assert reason in capsys.readouterr().err
+
 
 class TestSynth:
     def test_zero_iterations_writes_seeded_noise(self, trained, tmp_path):
@@ -323,6 +335,12 @@ class TestEval:
                       np.mean([r.pss_rel_err for r in rows])]
             assert row[0] == str(d)
             assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+
+    def test_zero_patch_size_fails_naming_it(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        assert run("eval", model_path, root, "-o", tmp_path / "r.csv", "--size", "32",
+                   "--iterations", "0", "--patch-size", "0") == 2
+        assert "patch size must be >= 1, got 0" in capsys.readouterr().err
 
     def test_sweep_without_archive_fails(self, trained, tmp_path):
         root, _, model_path = trained

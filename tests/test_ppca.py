@@ -12,6 +12,16 @@ def brute_pca_reconstruction(data, q):
     return mu + centered @ vt[:q].T @ vt[:q]
 
 
+def solve_posterior_mean(m, x):
+    """Reference: dense (W'W + sigma^2 I)^-1 W'(x - mu), pseudo-inverse at sigma^2 = 0."""
+    w = m.loadings
+    mat = w.T @ w + m.noise_var * np.eye(m.q)
+    rhs = (x - m.mean) @ w
+    if m.noise_var > 0:
+        return np.linalg.solve(mat, rhs.T).T
+    return (np.linalg.pinv(mat) @ rhs.T).T
+
+
 class TestFit:
     def test_collinear_points_hand_oracle(self):
         # points (t, 2t): covariance [[2/3, 4/3], [4/3, 8/3]], spectrum
@@ -128,6 +138,31 @@ class TestEncodeDecode:
             m = ppca.fit(x, q)
             errs.append(np.linalg.norm(ppca.decode(m, ppca.encode(m, x)) - x))
         assert all(np.diff(errs) <= 1e-9)
+
+    @pytest.mark.parametrize("n, dim, q", [
+        pytest.param(50, 10, 4, id="covariance-route"),
+        pytest.param(12, 40, 5, id="gram-route"),
+        pytest.param(36, 250, 200, id="noiseless-q-above-rank"),
+    ])
+    def test_encode_matches_solve_reference(self, rng, n, dim, q):
+        x = rng.standard_normal((n, dim)) @ np.diag(np.linspace(3, 0.5, dim))
+        m = ppca.fit(x, q)
+        assert (m.noise_var == 0.0) == (q >= n)
+        held_out = rng.standard_normal((4, dim))
+        for data in (x, held_out):
+            ref = solve_posterior_mean(m, data)
+            np.testing.assert_allclose(ppca.encode(m, data), ref,
+                                       rtol=0, atol=1e-10 * np.abs(ref).max())
+
+    def test_zero_loading_column_roundtrip_projects_onto_the_others(self, rng):
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        m = ppca.PpcaModel(rng.standard_normal(6), basis * [2.0, 0.0, 1.0], 0.3,
+                           np.array([4.3, 1.3, 0.3, 0.3, 0.3, 0.3]), 3)
+        x = rng.standard_normal((5, 6))
+        kept = basis[:, [0, 2]]
+        expect = m.mean + (x - m.mean) @ kept @ kept.T
+        np.testing.assert_allclose(ppca.decode(m, ppca.encode(m, x)), expect, atol=1e-12)
+        np.testing.assert_array_equal(ppca.encode(m, x)[:, 1], 0.0)
 
     def test_dimension_mismatch_rejected(self, rng):
         m = ppca.fit(rng.standard_normal((10, 4)), 2)
