@@ -40,30 +40,25 @@ def _sample_eig(data: np.ndarray):
 
     Eigenvalues come back non-increasing, padded with zeros past the
     data rank; eigenvector columns past the rank are zero (their
-    loadings vanish anyway). Signs are fixed so each eigenvector's
-    largest-magnitude entry is positive.
+    loadings vanish anyway). Both routes treat eigenvalues at or below
+    max(lambda_0, 1) n eps as rounding noise of a zero, so a group that
+    is constant up to rounding has an all-zero spectrum. Signs are fixed
+    so each eigenvector's largest-magnitude entry is positive.
     """
     n, dim = data.shape
     mu = data.mean(axis=0)
     centered = data - mu
-    if dim <= n:
-        cov = centered.T @ centered / n
-        w, v = np.linalg.eigh(cov)
-        order = np.argsort(w)[::-1]
-        eigvals = np.maximum(w[order], 0.0)
-        vecs = v[:, order]
+    gram = dim > n
+    w, v = np.linalg.eigh(centered @ centered.T / n if gram else centered.T @ centered / n)
+    order = np.argsort(w)[::-1]
+    vals, v = np.maximum(w[order], 0.0), v[:, order]
+    keep = vals > max(vals[0], 1.0) * n * np.finfo(float).eps
+    eigvals, vecs = np.zeros(dim), np.zeros((dim, dim))
+    eigvals[:vals.size][keep] = vals[keep]
+    if gram:
+        vecs[:, :n][:, keep] = centered.T @ (v[:, keep] / np.sqrt(n * vals[keep]))
     else:
-        gram = centered @ centered.T / n
-        w, v = np.linalg.eigh(gram)
-        order = np.argsort(w)[::-1]
-        gvals = np.maximum(w[order], 0.0)
-        gvecs = v[:, order]
-        eigvals = np.zeros(dim)
-        eigvals[:n] = gvals
-        vecs = np.zeros((dim, dim))
-        tol = max(gvals[0], 1.0) * n * np.finfo(float).eps
-        keep = gvals > tol
-        vecs[:, :n][:, keep] = centered.T @ (gvecs[:, keep] / np.sqrt(n * gvals[keep]))
+        vecs[:, keep] = v[:, keep]
     signs = np.where(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)] < 0, -1.0, 1.0)
     return mu, eigvals, vecs * signs
 

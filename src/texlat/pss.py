@@ -31,12 +31,12 @@ the power spectrum |X|^2 of the centered input: a lag window of a cosine
 transform for C3/C4, a transfer-weighted Gram matrix for C6/C7, DC gains
 for C9. No filtered image is formed for them, and the C3/C4/C6/C7 sums of
 level L run over the central size/2^L crop of the spectrum, outside which
-its transfers are exactly zero. The cross-scale C8 correlations are, by
-Parseval, inner products of the magnitude grids' spectra: the coarser
-grid's spectrum with its Nyquist row and column split in two is the
-spectrum of its band-limited interpolation onto the finer grid. Only C1,
-the C2 moments of the N+1 level images and the C5 (same-scale C8)
-magnitude correlations are computed in space.
+its transfers are exactly zero. The C5 and C8 magnitude correlations are,
+by Parseval, inner products of the magnitude grids' spectra, whose zeroed
+DC bins remove the grid means: across scales, the coarser grid's spectrum
+with its Nyquist row and column split in two is the spectrum of its
+band-limited interpolation onto the finer grid. Only C1 and the C2
+moments of the N+1 level images are computed in space.
 
 Every statistic is a smooth function of the input (plus min/max and
 magnitudes), so the module also provides the exact reverse-mode
@@ -227,14 +227,6 @@ def _lag_basis(size, m):
     return np.cos(phase), np.sin(phase)
 
 
-def _center_stack(images):
-    """Rows of a (K, s, s) image stack, centered; returns (Z, var, ok)."""
-    z = images.reshape(len(images), -1)
-    z = z - z.mean(axis=1, keepdims=True)
-    var = np.mean(z * z, axis=1)
-    return z, var, var >= VAR_EPS
-
-
 def _cov_to_corr(cov, vara, oka, varb, okb):
     """Pearson matrix from a covariance matrix, rows/cols of flat images zeroed."""
     rho = cov / np.sqrt(np.outer(np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)))
@@ -271,7 +263,7 @@ def _level_plan(size, n_sc, n_or):
 
 
 def _interp_spectra(spec):
-    """DC-free spectra of (K, s, s) grids' band-limited interpolation.
+    """Band-limited interpolation spectra of (K, s, s) DC-free grid spectra.
 
     On a finer grid of side f the real interpolant has f^2 times this
     (K, s+1, s+1) block as the center of its spectrum: the Nyquist row
@@ -280,7 +272,6 @@ def _interp_spectra(spec):
     k, s = spec.shape[:2]
     e = np.zeros((k, s + 1, s + 1), dtype=complex)
     e[:, :s, :s] = spec
-    e[:, s // 2, s // 2] = 0.0
     return (e + np.conj(e[:, ::-1, ::-1])) / (2.0 * s * s)
 
 
@@ -317,7 +308,7 @@ class _Cache:
 
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
-                 "mag_stats", "mag_spec", "rho5", "interp", "cross", "var20",
+                 "mag_spec", "mag_var", "rho5", "interp", "cross", "var20",
                  "ok20", "rho20", "idx67", "dc_gain", "values")
 
 
@@ -379,11 +370,19 @@ def _forward(img, params: PssParams):
     cc.acorr[~ok] = 0.0
     values += cc.acorr.ravel().tolist()
 
-    cc.mag_stats = [_center_stack(level) for level in cc.mags]
-    cc.rho5 = [_cov_to_corr(z @ z.T / z.shape[1], var, ok, var, ok)
-               for z, var, ok in cc.mag_stats]
-    for rho in cc.rho5:
-        values += rho.ravel().tolist()
+    # C5: magnitude correlations within each scale. By Parseval each
+    # covariance is an inner product of two grids' spectra; the zeroed DC
+    # bin removes each grid's mean
+    cc.mag_spec, cc.mag_var, cc.rho5 = [_fft(mg) for mg in cc.mags], [], []
+    for n, ms in enumerate(cc.mag_spec):
+        side = size >> n
+        ms[:, side // 2, side // 2] = 0.0
+        r = _ri(ms.reshape(n_or, -1))
+        cov5 = r @ r.T / side ** 4
+        var = np.diag(cov5).copy()
+        cc.mag_var.append((var, var >= VAR_EPS))
+        cc.rho5.append(_cov_to_corr(cov5, *cc.mag_var[n], *cc.mag_var[n]))
+        values += cc.rho5[n].ravel().tolist()
 
     # C6 + C7: correlations of the oriented reconstructions
     cc.var20 = np.diag(cov).copy()
@@ -392,10 +391,8 @@ def _forward(img, params: PssParams):
     cc.idx67 = _c67_index(n_sc, n_or)
     values += cc.rho20[cc.idx67].tolist()
 
-    # C8 across scales: coarser magnitudes interpolated onto the finer grid.
-    # By Parseval each covariance is an inner product of the two spectra
-    # over the (sc+1)-square block the interpolant occupies.
-    cc.mag_spec = [_fft(z.reshape(mg.shape)) for (z, _, _), mg in zip(cc.mag_stats, cc.mags)]
+    # C8 across scales: coarser magnitudes interpolated onto the finer grid,
+    # an inner product over the (sc+1)-square block the interpolant occupies
     cc.interp, cc.cross = {}, {}
     for coarse in range(1, n_sc):
         u = _interp_spectra(cc.mag_spec[coarse]).reshape(n_or, -1)
@@ -404,7 +401,7 @@ def _forward(img, params: PssParams):
         for fine in range(coarse):
             a = _interp_block(cc.mag_spec[fine], size >> coarse).reshape(n_or, -1)
             cc.cross[coarse, fine] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
-                                                  *cc.mag_stats[fine][1:], *cc.interp[coarse][1:])
+                                                  *cc.mag_var[fine], *cc.interp[coarse][1:])
     for sa in range(n_sc):
         for sb in range(n_sc):
             if sa == sb:
@@ -490,7 +487,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     dvar = [0.0] * n_sc
     for (coarse, fine), rho in cc.cross.items():
         u, varb, okb = cc.interp[coarse]
-        _, vara, oka = cc.mag_stats[fine]
+        vara, oka = cc.mag_var[fine]
         w, da, db = _corr_weights(vara, oka, varb, okb, rho,
                                   g8[fine, coarse] + g8[coarse, fine].T)
         dvar[fine] = dvar[fine] + da
@@ -501,17 +498,18 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
         u_cot -= db[:, None] * u
         cot_spec[coarse] += u_cot.reshape(a.shape)[:, :-1, :-1]
 
-    # C5 + same-scale C8 entries share per-scale magnitude blocks; then
+    # C5 + same-scale C8 entries join the same spectral cotangents; then
     # magnitude cotangents -> complex band cotangents -> analysis adjoint,
     # whose zero-padded band spectrum only fills the central crop
-    for n, (z, var, ok) in enumerate(cc.mag_stats):
+    for n, (ms, (var, ok)) in enumerate(zip(cc.mag_spec, cc.mag_var)):
         w, da, db = _corr_weights(var, ok, var, ok, cc.rho5[n], g5[n] + g8[n, n])
-        cot_mag = ((w + w.T) @ z - (da + db + dvar[n])[:, None] * z) / z.shape[1]
         side, mg = size >> n, cc.mags[n]
+        mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
+        cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)
         unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
         inner = _crop(spec_cot, side)
         for k in range(n_or):
-            cot = (cot_mag[k].reshape(side, side) + _ifft(cot_spec[n][k]).real) * unit[k]
+            cot = _ifft(cot_spec[n][k]).real * unit[k]
             inner += _crop(stack.band_analysis[n][k], side) * _fft(cot * cc.bands[n][k])
 
     grad += _ifft(spec_cot).real

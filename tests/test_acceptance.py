@@ -134,9 +134,9 @@ def test_criterion_5_gradient_directional_derivatives_at_default_parameters():
              f"{worst:.2e} over 4 directions (<=1e-5)")
 
 
-@pytest.mark.parametrize("group", [3, 4, 6, 7, 8])
+@pytest.mark.parametrize("group", [3, 4, 5, 6, 7, 8])
 def test_criterion_5_group_gradient_at_default_parameters(group):
-    # one quadratic or cross-scale group alone, probed along its own gradient
+    # one quadratic or magnitude-correlation group alone, probed along its own gradient
     rng = np.random.default_rng(5)
     params = PssParams()
     target = pss.extract_pss(rng.standard_normal((64, 64)) * 25 + 120, params)

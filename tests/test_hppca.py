@@ -41,6 +41,17 @@ class TestFitHierarchy:
         enc = ppca.encode(g10, xc[:, layout.group_slice(10)])
         np.testing.assert_array_equal(enc, np.zeros_like(enc))
 
+    def test_group_constant_up_to_rounding_gets_zero_latent(self, rng):
+        # the covariance route (group dim <= n) must drop rounding-level
+        # eigenvalues like the Gram route, not whiten them into a latent
+        layout = PssLayout((5, 4, 6, 8, 3, 4, 5, 6, 4, 3))
+        x = rng.standard_normal((12, layout.dim))
+        g9 = layout.group_slice(9)
+        x[:, g9] = 127 * rng.standard_normal(4) + 127e-16 * rng.standard_normal((12, 4))
+        model = hppca.fit_hierarchy(x, 0.999, 3, layout=layout)
+        enc = ppca.encode(model.group_models[8], x[:, g9])
+        np.testing.assert_array_equal(enc, np.zeros_like(enc))
+
     def test_vector_and_matrix_paths_agree(self, small_corpus):
         layout, vecs, x = small_corpus
         m1 = hppca.fit_hierarchy(vecs, 0.99, 4)

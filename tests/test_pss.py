@@ -153,7 +153,7 @@ def upsample(img, size):
 
 
 def spatial_reference(img, n_sc, n_or, m):
-    """C3, C4, C6, C7, C8, C9 and C10 computed from filtered images in space."""
+    """C3 to C10 computed from filtered images and magnitude grids in space."""
     stack = pyramid.transfer_stack(img.shape[0], n_sc, n_or)
     bands = [stack.filter_image(img, t) for level in stack.band_recon for t in level]
     levels = [stack.filter_image(img, t) for t in (*stack.scale_recon, stack.low_recon)]
@@ -180,6 +180,7 @@ def spatial_reference(img, n_sc, n_or, m):
     return {
         3: np.concatenate([acorr(im) for im in bands]),
         4: np.concatenate([acorr(im) for im in levels]),
+        5: np.concatenate([mag_corr(sc, sc).ravel() for sc in range(n_sc)]),
         6: np.concatenate([rho[b, b].ravel() for b in block]),
         7: np.concatenate([rho[a, b].ravel() for a in block[:n_sc] for b in block]),
         8: np.concatenate([mag_corr(sa, sb).ravel() for sa in range(n_sc) for sb in range(n_sc)]),
