@@ -4,7 +4,7 @@ The pipeline: decompose an image with a frequency-domain steerable
 pyramid, summarize it as a ten-group statistic vector (1784 dimensions
 at the default parameters), compress vectors with a two-stage grouped
 PPCA into a short texture code, and synthesize images back from codes
-by gradient descent on the statistic distance. A sliding-patch maximum
+by L-BFGS on the statistic distance. A sliding-patch maximum
 cosine similarity scores how well a synthesized texture matches its
 source.
 """

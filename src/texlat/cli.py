@@ -56,6 +56,15 @@ def _prepare_image(path, pp: ar.Preprocess) -> np.ndarray:
     return image.normalize(img, pp.mean, pp.std)
 
 
+def _check_counts(args) -> None:
+    """Reject the negative image counts and the job counts below 1 that
+    the split and the pool would otherwise take silently."""
+    for flag, low in (("train_count", 0), ("eval_count", 0), ("jobs", 1)):
+        value = getattr(args, flag)
+        if value < low:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -76,6 +85,7 @@ def _extract_one(task):
 
 
 def cmd_extract(args) -> int:
+    _check_counts(args)
     params = _params(args)
     pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
@@ -213,6 +223,7 @@ def cmd_synth(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
+    _check_counts(args)
     model = hppca.load_model(args.model)
     pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,

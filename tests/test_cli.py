@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from texlat import cli, hppca, image, pss, synthesis
-from texlat.archive import load_archive
+from texlat.archive import load_archive, save_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
 
@@ -57,6 +57,16 @@ class TestExtract:
         code = run("extract", pgm_dataset, "-o", tmp_path / "f.pssa", *PARAMS)
         assert code == 2
         assert "empty_cls" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--train-count", "-1"), ("--eval-count", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+    def test_bad_count_fails_naming_the_flag(self, pgm_dataset, tmp_path, capsys,
+                                             flag, value):
+        out = tmp_path / "f.pssa"
+        assert run("extract", pgm_dataset, "--split", "train", "-o", out, *PARAMS,
+                   flag, value) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_file_reported_and_counted(self, pgm_dataset, tmp_path,
                                                   capsys):
@@ -241,6 +251,22 @@ class TestSynth:
                    "--iterations", "1", "--synth-size", "32")
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_training_feature_exits_three_not_nan(self, trained, tmp_path, capsys):
+        root, arch_path, _ = trained
+        arch = load_archive(arch_path)
+        arch.features[0, 10] = 1e300
+        huge, model_path = tmp_path / "huge.pssa", tmp_path / "huge.hpca"
+        save_archive(arch, huge)
+        assert run("train", huge, "-o", model_path, "--ccr", "0.999", "--dim", "3") == 0
+        out = tmp_path / "s.pgm"
+        code = run("synth", model_path, "--input", root / "alpha" / "a0.pgm",
+                   "-o", out, "--iterations", "2", "--size", "32")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "starting distance is nan" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_single_model_gives_one_row(self, trained, tmp_path):
@@ -346,6 +372,16 @@ class TestEval:
         root, _, model_path = trained
         assert run("eval", model_path, root, "-o", tmp_path / "r.csv",
                    "--sweep-dim", "2", "--size", "32") == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--train-count", "-1"), ("--eval-count", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+    def test_bad_count_fails_naming_the_flag(self, trained, tmp_path, capsys, flag, value):
+        root, _, model_path = trained
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--iterations", "0", "--patch-size", "9", flag, value) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_empty_split_fails(self, trained, tmp_path):
         root, _, model_path = trained

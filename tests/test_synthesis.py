@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grating
+from conftest import filtered_noise, grating
 from texlat import hppca, pss, synthesis
 from texlat.pss import PssParams, PssVector
 from texlat.synthesis import SynthesisConfig
@@ -121,6 +121,69 @@ class TestSynthesize:
         out, _ = synthesis.synthesize(target, SynthesisConfig(iterations=0, size=64))
         assert abs(out.mean() - 127) < 5
         assert abs(out.std() - 40) < 5
+
+
+class TestLbfgs:
+    """Pins the optimizer on a criterion-6 target: 64 px, (3,4,7), 50 iterations."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        target = pss.extract_pss(filtered_noise(64, 63, 1.0, 2.0), PssParams(3, 4, 7))
+        cfg = SynthesisConfig(iterations=50, seed=609, size=64)
+        forward, calls = pss._forward, [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return forward(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pss, "_forward", counted)
+            first = synthesis.synthesize(target, cfg)
+        return first, synthesis.synthesize(target, cfg), calls[0]
+
+    def test_about_one_forward_per_iteration(self, runs):
+        # backtracking gradient descent made about 1.84 per iteration
+        assert runs[2] <= 1.25 * 50 + 1
+
+    def test_fifty_iterations_are_bitwise_deterministic(self, runs):
+        (out1, tr1), (out2, tr2), _ = runs
+        np.testing.assert_array_equal(out1, out2)
+        np.testing.assert_array_equal(tr1, tr2)
+
+    def test_trace_has_one_entry_per_iteration_and_never_rises(self, runs):
+        trace = runs[0][1]
+        assert trace.shape == (51,)
+        assert (np.diff(trace) <= 0).all()
+
+    def test_zero_gradient_pads_the_trace(self, rng):
+        params = PssParams(2, 2, 3)
+        img = rng.standard_normal((32, 32)) * 20 + 100
+        out, trace = synthesis.synthesize(pss.extract_pss(img, params),
+                                          SynthesisConfig(iterations=4, size=32),
+                                          init_image=img)
+        np.testing.assert_array_equal(out, img)
+        np.testing.assert_array_equal(trace, np.zeros(5))
+
+    def test_failed_steepest_descent_search_ends_the_run(self, rng, monkeypatch):
+        # 1e-9 from the target, even the 30th halving of the first step overshoots
+        params = PssParams(2, 2, 3)
+        img = rng.standard_normal((32, 32)) * 20 + 100
+        init = img + 1e-9 * rng.standard_normal((32, 32))
+        backward, calls = pss._backward, []
+        monkeypatch.setattr(pss, "_backward",
+                            lambda *a: calls.append(1) or backward(*a))
+        out, trace = synthesis.synthesize(pss.extract_pss(img, params),
+                                          SynthesisConfig(iterations=4, size=32),
+                                          init_image=init)
+        np.testing.assert_array_equal(out, init)
+        assert trace.shape == (5,) and (trace == trace[0]).all()
+        assert len(calls) == 1
+
+    def test_non_finite_target_raises(self, rng):
+        v = pss.extract_pss(rng.standard_normal((32, 32)) * 20 + 100, PssParams(2, 2, 3))
+        v.values[7] = np.nan
+        with pytest.raises(pss.NumericError, match="non-finite"):
+            synthesis.synthesize(v, SynthesisConfig(iterations=0, size=32))
 
 
 def brute_force_tss(sample, source):
