@@ -65,6 +65,29 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
+def _check_finite(matrix, where) -> None:
+    """Reject the first non-finite entry; where(row, column) names it."""
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"{where(r, c)} is {matrix[r, c]}")
+
+
+def _check_output(matrix, ids, what) -> None:
+    """A finite input can still overflow; write no non-finite row."""
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise pss.NumericError(f"{what} of {ids[int(np.argmax(bad))]!r} is not finite")
+
+
+def _load_archive(path) -> ar.FeatureArchive:
+    """An archive whose records are all finite, so fits and codes are too."""
+    arch = ar.load_archive(path)
+    _check_finite(arch.features, lambda r, c: f"{path}: record {arch.ids[r]!r}, column "
+                                              f"{pss.column_names(arch.layout)[c]},")
+    return arch
+
+
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -88,6 +111,8 @@ def cmd_extract(args) -> int:
     _check_counts(args)
     params = _params(args)
     pp = _preprocess(args)
+    if pp.size:  # one message for a geometry every image would fail
+        pss.check_size(pp.size, params)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
                                    args.train_count, args.eval_count)
     tasks = []
@@ -109,8 +134,8 @@ def cmd_extract(args) -> int:
                                  np.array([lab for lab, *_ in good], dtype=np.int32),
                                  [ident for _, ident, _ in good], feats)
         ar.save_archive(arch, args.output)
-    print(f"extracted {len(good)}/{len(tasks)} images -> {args.output}",
-          file=sys.stderr)
+    print(f"extracted {len(good)}/{len(tasks)} images "
+          + (f"-> {args.output}" if good else "; no archive written"), file=sys.stderr)
     return 2 if failures else 0
 
 
@@ -118,7 +143,7 @@ def cmd_extract(args) -> int:
 # train
 
 def cmd_train(args) -> int:
-    arch = ar.load_archive(args.archive)
+    arch = _load_archive(args.archive)
     model = hppca.fit_hierarchy(arch.features, args.ccr, args.dim,
                                 layout=arch.layout)
     hppca.save_model(model, args.output)
@@ -157,7 +182,7 @@ def _load_codes(path):
 def cmd_encode(args) -> int:
     model = hppca.load_model(args.model)
     if len(args.inputs) == 1 and args.inputs[0].endswith(".pssa"):
-        arch = ar.load_archive(args.inputs[0])
+        arch = _load_archive(args.inputs[0])
         if arch.layout != model.layout:
             raise ValueError("archive parameters do not match the model")
         ids, feats = arch.ids, arch.features
@@ -168,6 +193,7 @@ def cmd_encode(args) -> int:
             pss.extract_pss(_prepare_image(p, pp), model.params).values
             for p in args.inputs])
     codes = hppca.encode_batch(model, feats)
+    _check_output(codes, ids, "code")
     header = ["id"] + [f"c{i}" for i in range(model.output_dim)]
     _write_csv(args.output, header,
                [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, codes)])
@@ -181,7 +207,9 @@ def cmd_decode(args) -> int:
     if codes.shape[1] != model.output_dim:
         raise ValueError(
             f"codes have {codes.shape[1]} columns, model outputs {model.output_dim}")
+    _check_finite(codes, lambda r, c: f"{args.codes}: row {r + 1}, column c{c},")
     decoded = hppca.decode_batch(model, codes)
+    _check_output(decoded, ids, "decoded statistic")
     header = ["id"] + pss.column_names(model.layout)
     _write_csv(args.output, header,
                [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, decoded)])
@@ -242,7 +270,7 @@ def cmd_eval(args) -> int:
     if args.sweep_dim or args.sweep_ccr:
         if not args.archive:
             raise ValueError("sweeps need --archive to refit the model")
-        arch = ar.load_archive(args.archive)
+        arch = _load_archive(args.archive)
         if arch.layout != model.layout:
             raise ValueError("archive parameters do not match the model")
         for d in args.sweep_dim or []:

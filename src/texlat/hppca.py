@@ -20,7 +20,8 @@ import numpy as np
 
 from . import ppca
 from .ppca import PpcaModel
-from .pss import PssLayout, PssParams, PssVector, pack_container, read_container
+from .pss import (PssLayout, PssParams, PssVector, column_names, pack_container,
+                  read_container)
 
 MODEL_MAGIC = b"HPCA"
 MODEL_VERSION = 1
@@ -92,7 +93,14 @@ def fit_hierarchy(dataset, threshold: float, output_dim: int,
     groups, latents = [], []
     for gi in range(1, 11):
         block = x[:, layout.group_slice(gi)]
-        mu, eigvals, vecs = ppca._sample_eig(block)
+        try:
+            mu, eigvals, vecs = ppca._sample_eig(block)
+        except np.linalg.LinAlgError as exc:
+            r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+            col = layout.group_slice(gi).start + c
+            name = column_names(layout)[col] if layout.params else f"{col}"
+            raise ValueError(f"group C{gi}: {exc}; its largest-magnitude entry is "
+                             f"{float(block[r, c])}, record {r}, column {name}") from exc
         if eigvals.sum() <= 0:
             q = 1  # degenerate group: one latent that is always zero
         else:

@@ -312,6 +312,13 @@ class _Cache:
                  "ok20", "rho20", "idx67", "dc_gain", "values")
 
 
+def check_size(size: int, params: PssParams) -> None:
+    """Raise ValueError unless a size x size image has these statistics."""
+    pyramid._validate_geometry(size, params.n_scales)
+    if params.neighborhood > size:
+        raise ValueError(f"neighborhood {params.neighborhood} exceeds image side {size}")
+
+
 def _forward(img, params: PssParams):
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -319,9 +326,8 @@ def _forward(img, params: PssParams):
     if not np.isfinite(a).all():
         raise NumericError("statistic input contains non-finite pixels")
     size = a.shape[0]
+    check_size(size, params)
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
-    if m > size:
-        raise ValueError(f"neighborhood {m} exceeds image side {size}")
     stack = pyramid.transfer_stack(size, n_sc, n_or)
     npix, dc = size * size, size // 2
 

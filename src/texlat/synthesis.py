@@ -15,14 +15,17 @@ patches are one FFT cross-correlation of the sample against the source
 spectrum, and the patch norms are computed once per source (fast
 normalized cross-correlation, Lewis 1995).
 
-Evaluation extracts each image's statistic once and scores it against
-every model of a sweep, so a sweep over d costs one source statistic per
-image, not one per image and d.
+Evaluation extracts each image's statistic and builds its source terms
+(spectrum and window norms) once, and scores it against every model of a
+sweep, so a sweep over d costs one source statistic and one set of source
+terms per image, not one per image and d. At zero iterations the sample is
+the seeded noise itself, so evaluation computes no statistic of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -117,6 +120,21 @@ def _lbfgs_direction(g, S, Y, rho, slots) -> np.ndarray:
     return -q
 
 
+def _unit_noise(cfg: SynthesisConfig) -> np.ndarray:
+    return np.random.default_rng(cfg.seed).standard_normal((cfg.size, cfg.size))
+
+
+def initial_image(target: PssVector, cfg: SynthesisConfig,
+                  noise: np.ndarray | None = None) -> np.ndarray:
+    """Seeded Gaussian noise of side cfg.size with the target's C1 mean and
+    variance: where synthesis starts, and the sample eval scores at zero
+    iterations. `noise` is _unit_noise(cfg) when given, so that one draw
+    serves every target of one seed."""
+    z = _unit_noise(cfg) if noise is None else noise
+    mean, var = target.group(1)[0], max(target.group(1)[1], 0.0)
+    return mean + np.sqrt(var) * z
+
+
 def synthesize(target: PssVector, cfg: SynthesisConfig,
                init_image: np.ndarray | None = None):
     """Match the target statistic by L-BFGS from seeded noise.
@@ -141,12 +159,8 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     gw = cfg.weights if cfg.weights is not None else default_weights(target)
     wvec = _coordinate_weights(target.layout, gw)
 
-    if init_image is not None:
-        x = np.asarray(init_image, dtype=np.float64).copy()
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        mean, var = target.group(1)[0], max(target.group(1)[1], 0.0)
-        x = mean + np.sqrt(var) * rng.standard_normal((cfg.size, cfg.size))
+    x = (initial_image(target, cfg) if init_image is None
+         else np.asarray(init_image, dtype=np.float64).copy())
 
     def objective(vals):
         d = vals - target.values
@@ -213,21 +227,37 @@ class TssReport:
     location: tuple[int, int]  # top-left of the best-matching source patch
 
 
-def _source_spectrum(source, p: int):
-    """What every p x p sample needs of the source: its spectrum, its
-    shape and the inverse norm of each window (0 for a zero window)."""
-    x = np.asarray(source, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
-        raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
-    windows = sliding_window_view(x, (p, p))
-    norms = np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
-    inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return np.fft.rfft2(x), x.shape, inv_norms
+class SourceTerms:
+    """What every p x p sample needs of one source: its spectrum and the
+    inverse norm of each window (0 for a zero window). Each is computed at
+    its first use, inside the scoring call that needs it, and then kept
+    for every later sample scored against the same source."""
+
+    def __init__(self, source, patch_size: int):
+        p = patch_size
+        if p < 1:
+            raise ValueError(f"patch size must be >= 1, got {p}")
+        x = np.asarray(source, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
+            raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
+        self.source, self.patch_size = x, p
+
+    @cached_property
+    def spec(self) -> np.ndarray:
+        return np.fft.rfft2(self.source)
+
+    @cached_property
+    def inv_norms(self) -> np.ndarray:
+        p = self.patch_size
+        windows = sliding_window_view(self.source, (p, p))
+        norms = np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
+        return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
-def _best_match(s, spec, shape, inv_norms) -> TssReport:
+def _best_match(s, terms: SourceTerms) -> TssReport:
     # correlation with every window at once; offsets up to shape - p never wrap
-    dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * spec, s=shape)
+    shape, inv_norms = terms.source.shape, terms.inv_norms
+    dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * terms.spec, s=shape)
     sn = float(np.linalg.norm(s))
     ny, nx = inv_norms.shape
     sims = dots[:ny, :nx] * inv_norms / sn if sn > 0 else np.zeros_like(inv_norms)
@@ -249,7 +279,7 @@ def tss(sample, source, patch_size: int | None = None) -> TssReport:
     p = s.shape[0]
     if patch_size is not None and patch_size != p:
         raise ValueError(f"sample is {p}x{p} but patch size {patch_size} was requested")
-    return _best_match(s, *_source_spectrum(source, p))
+    return _best_match(s, SourceTerms(source, p))
 
 
 def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
@@ -257,23 +287,27 @@ def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
 
     The image is cut into as many whole patch_size x patch_size tiles as
     fit, centered; each tile is scored against every source patch, whose
-    norms are computed once for all tiles.
+    norms are computed once for all tiles. `source` is an image, or the
+    SourceTerms of one built for patch_size, so that callers scoring many
+    images against one source build them once.
     """
-    if patch_size < 1:
-        raise ValueError(f"patch size must be >= 1, got {patch_size}")
+    if not isinstance(source, SourceTerms):
+        source = SourceTerms(source, patch_size)
+    elif source.patch_size != patch_size:
+        raise ValueError(f"source terms are for {source.patch_size}px samples, "
+                         f"not {patch_size}px")
     a = np.asarray(image, dtype=np.float64)
     ny, nx = a.shape[0] // patch_size, a.shape[1] // patch_size
     if ny < 1 or nx < 1:
         raise ValueError(f"image {a.shape} holds no {patch_size}px sample")
     oy = (a.shape[0] - ny * patch_size) // 2
     ox = (a.shape[1] - nx * patch_size) // 2
-    source_terms = _source_spectrum(source, patch_size)
     scores = []
     for iy in range(ny):
         for ix in range(nx):
             y0, x0 = oy + iy * patch_size, ox + ix * patch_size
             tile = a[y0:y0 + patch_size, x0:x0 + patch_size]
-            scores.append(_best_match(tile, *source_terms).tss)
+            scores.append(_best_match(tile, source).tss)
     return float(np.mean(scores)), len(scores)
 
 
@@ -288,10 +322,13 @@ class EvalRow:
 def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[EvalRow]:
     """Score image `index` of a set against each model, one row per model.
 
-    The image's statistic is extracted once; for each model it is
-    encoded, decoded, resynthesized with seed cfg.seed + index at the
-    image's own size and scored against the image, so a report is
-    independent of any parallel scheduling.
+    The image's statistic and source terms are built once; for each model
+    the statistic is encoded, decoded, resynthesized with seed
+    cfg.seed + index at the image's own size and scored against the image,
+    so a report is independent of any parallel scheduling. At zero
+    iterations the sample is initial_image of the decoded statistic, with
+    no statistic computed of it. Raises NumericError when a decoded
+    statistic, a relative error or a score is not finite.
     """
     index, (image_id, img) = task
     a = np.asarray(img, dtype=np.float64)
@@ -300,13 +337,22 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
         raise ValueError("model must carry a parameter-derived layout")
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
+    terms = SourceTerms(a, patch_size)
+    noise = _unit_noise(run_cfg) if cfg.iterations == 0 else None
     rows = []
     for model in models:
         decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
         rel = float(np.linalg.norm(decoded.values - v.values)
                     / max(np.linalg.norm(v.values), 1e-300))
-        synth, _ = synthesize(decoded, run_cfg)
-        score, count = sample_grid_tss(synth, a, patch_size)
+        if not np.isfinite(rel):  # also catches every non-finite decoded value
+            raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
+        if cfg.iterations == 0:
+            synth = initial_image(decoded, run_cfg, noise)
+        else:
+            synth, _ = synthesize(decoded, run_cfg)
+        score, count = sample_grid_tss(synth, terms, patch_size)
+        if not np.isfinite(score):
+            raise NumericError(f"{image_id}: TSS is {score}")
         rows.append(EvalRow(image_id, score, rel, count))
     return rows
 

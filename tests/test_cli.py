@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestExtract:
         assert run("extract", pgm_dataset, "--split", "train", "-o", out, *PARAMS,
                    flag, value) == 2
         assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--size", "100"], "image side must be a power of two, got 100"),
+        (["--size", "32", "--scales", "4"], "4 scales leave a 2 px residual"),
+        (["--size", "8", "--scales", "1", "--neighbor", "9"], "neighborhood 9 exceeds image side 8"),
+    ], ids=["size", "scales", "neighborhood"])
+    def test_bad_geometry_fails_once_before_any_work(self, pgm_dataset, tmp_path, capsys,
+                                                     flags, reason):
+        out = tmp_path / "x.pssa"
+        assert run("extract", pgm_dataset, "-o", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.count(reason) == 1
+        assert str(out) not in err
         assert not out.exists()
 
     def test_unreadable_file_reported_and_counted(self, pgm_dataset, tmp_path,
@@ -143,6 +158,37 @@ class TestTrain:
         stages = {r[0] for r in rows[1:]}
         assert stages == {f"C{i}" for i in range(1, 11)} | {"final"}
 
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_record_fails_naming_id_and_column(self, trained, tmp_path,
+                                                         capsys, command, value):
+        _, arch_path, model_path = trained
+        arch = load_archive(arch_path)
+        arch.features[1, 7] = value
+        bad, out = tmp_path / "bad.pssa", tmp_path / "out"
+        save_archive(arch, bad)
+        argv = ["train", bad] if command == "train" else ["encode", model_path, bad]
+        assert run(*argv, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert f"record {arch.ids[1]!r}, column C2.s1.kurt, is {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("column, name", [(20, "C3.s1.o0.dy1.dx1"),
+                                              (40, "C3.s2.o1.dy-1.dx0")])
+    def test_huge_record_fails_naming_group_record_and_column(self, trained, tmp_path,
+                                                              capsys, column, name):
+        _, arch_path, _ = trained
+        arch = load_archive(arch_path)
+        arch.features[0, column] = 1e300
+        bad, out = tmp_path / "bad.pssa", tmp_path / "bad.hpca"
+        save_archive(arch, bad)
+        assert run("train", bad, "-o", out, "--ccr", "0.999", "--dim", "3") == 2
+        err = capsys.readouterr().err
+        assert f"group C3: Eigenvalues did not converge; its largest-magnitude entry is " \
+               f"1e+300, record 0, column {name}" in err
+        assert not out.exists()
+
     def test_dim_above_intermediate_fails_with_both_numbers(self, trained, tmp_path,
                                                             capsys):
         _, arch, _ = trained
@@ -198,6 +244,25 @@ class TestEncodeDecode:
         bad.write_text(text)
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_code_fails_naming_row_and_column(self, trained, tmp_path, capsys,
+                                                         value):
+        _, _, model_path = trained
+        bad, out = tmp_path / "bad.csv", tmp_path / "d.csv"
+        bad.write_text(f"id,c0,c1,c2\nx,1,2,3\ny,1,{value},3\n")
+        assert run("decode", model_path, bad, "-o", out) == 2
+        assert f"row 2, column c1, is {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_decode_exits_three(self, trained, tmp_path, capsys):
+        _, _, model_path = trained
+        huge, out = tmp_path / "huge.csv", tmp_path / "d.csv"
+        huge.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n")
+        assert run("decode", model_path, huge, "-o", out) == 3
+        assert "decoded statistic of 'x' is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:
@@ -361,6 +426,36 @@ class TestEval:
                       np.mean([r.pss_rel_err for r in rows])]
             assert row[0] == str(d)
             assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+
+    def test_zero_iterations_make_one_forward_per_image(self, trained, tmp_path,
+                                                        monkeypatch):
+        root, arch, model_path = trained
+        calls = []
+        forward = pss._forward
+        monkeypatch.setattr(pss, "_forward",
+                            lambda img, params: calls.append(1) or forward(img, params))
+        assert run("eval", model_path, root, "-o", tmp_path / "r.csv", "--size", "32",
+                   "--archive", arch, "--sweep-dim", "1,2,3",
+                   "--iterations", "0", "--patch-size", "9") == 0
+        assert len(calls) == 6  # the source statistics; none of the seeded noise
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("column", [0, 1, 10])
+    def test_huge_training_feature_exits_three_without_report(self, trained, tmp_path,
+                                                              capsys, column):
+        root, arch_path, _ = trained
+        arch = load_archive(arch_path)
+        arch.features[0, column] = 1e300
+        huge, model_path = tmp_path / "huge.pssa", tmp_path / "huge.hpca"
+        save_archive(arch, huge)
+        assert run("train", huge, "-o", model_path, "--ccr", "0.999", "--dim", "3") == 0
+        report = tmp_path / "r.csv"
+        code = run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--iterations", "0", "--patch-size", "9")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.match(r"numeric failure: .*\b(nan|inf|non-finite)\b", err)
+        assert not report.exists()
 
     def test_zero_patch_size_fails_naming_it(self, trained, tmp_path, capsys):
         root, _, model_path = trained

@@ -115,6 +115,13 @@ class TestSynthesize:
                                         SynthesisConfig(iterations=50, seed=1, size=64))
         assert trace[-1] <= 0.1 * trace[0]
 
+    def test_zero_iterations_return_the_initial_image(self, rng):
+        target = pss.extract_pss(rng.standard_normal((32, 32)) * 30 + 127, PssParams(2, 2, 3))
+        cfg = SynthesisConfig(iterations=0, seed=11, size=32)
+        out, trace = synthesis.synthesize(target, cfg)
+        np.testing.assert_array_equal(out, synthesis.initial_image(target, cfg))
+        assert trace.shape == (1,)
+
     def test_noise_init_matches_target_moments(self, rng):
         params = PssParams(2, 2, 3)
         target = pss.extract_pss(rng.standard_normal((64, 64)) * 40 + 127, params)
@@ -292,6 +299,17 @@ class TestSampleGrid:
         expect = float(np.mean([synthesis.tss(t, source).tss for t in tiles]))
         assert synthesis.sample_grid_tss(img, source, 9) == (expect, 16)
 
+    def test_source_terms_score_like_the_source(self, rng):
+        img = rng.uniform(1, 255, size=(40, 37))
+        source = rng.uniform(1, 255, size=(24, 30))
+        terms = synthesis.SourceTerms(source, 9)
+        assert synthesis.sample_grid_tss(img, terms, 9) == \
+            synthesis.sample_grid_tss(img, source, 9)
+        assert synthesis.sample_grid_tss(img[1:], terms, 9) == \
+            synthesis.sample_grid_tss(img[1:], source, 9)
+        with pytest.raises(ValueError, match="9px samples, not 8px"):
+            synthesis.sample_grid_tss(img, terms, 8)
+
     def test_patch_larger_than_image_rejected(self, rng):
         with pytest.raises(ValueError):
             synthesis.sample_grid_tss(rng.standard_normal((8, 8)),
@@ -336,6 +354,33 @@ class TestEvaluateModel:
         r1 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         r2 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         assert [(a.tss, a.pss_rel_err) for a in r1] == [(b.tss, b.pss_rel_err) for b in r2]
+
+    def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
+        params, imgs, vecs = tiny_setup
+        models = [hppca.fit_hierarchy(vecs, 0.999, d) for d in (2, 4)]
+        cfg = SynthesisConfig(iterations=0, seed=5)
+        index, (image_id, img) = 3, imgs[3]
+        rows = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
+        run_cfg = SynthesisConfig(iterations=0, seed=5 + index, size=32)
+        v = pss.extract_pss(img, params)
+        for model, row in zip(models, rows):
+            decoded = hppca.decode(model, hppca.encode(model, v))
+            out, _ = synthesis.synthesize(decoded, run_cfg)
+            assert (row.tss, row.samples) == synthesis.sample_grid_tss(out, img, 9)
+
+    def test_non_finite_decoded_statistic_raises(self, tiny_setup, monkeypatch):
+        params, imgs, vecs = tiny_setup
+        model = hppca.fit_hierarchy(vecs, 0.999, 3)
+        decode = hppca.decode
+
+        def non_finite(m, code):
+            v = decode(m, code)
+            v.values[10] = np.inf
+            return v
+        monkeypatch.setattr(hppca, "decode", non_finite)
+        with pytest.raises(pss.NumericError, match="relative error inf"):
+            synthesis.evaluate_image([model], SynthesisConfig(iterations=0), 9,
+                                     (0, imgs[0]))
 
     def test_empty_set_rejected(self, tiny_setup):
         params, imgs, vecs = tiny_setup
