@@ -13,7 +13,7 @@ from .image import FormatError, load_image, normalize, resize_box, save_image
 from .pyramid import (Pyramid, PyramidParams, build_pyramid, collapse,
                       reconstruct_band, reconstruct_highpass, reconstruct_lowpass)
 from .pss import (NumericError, PssLayout, PssParams, PssVector, column_names,
-                  extract_pss, group_view, load_vector, pss_dim, save_vector)
+                  extract_pss, load_vector, pss_dim, save_vector)
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
                    ppca_decode, encode as ppca_encode, fit as ppca_fit)
 from .hppca import (HppcaModel, decode, encode, fit_hierarchy, load_model,
@@ -31,7 +31,7 @@ __all__ = [
     "PyramidParams", "Pyramid", "build_pyramid", "collapse",
     "reconstruct_band", "reconstruct_lowpass", "reconstruct_highpass",
     "PssParams", "PssLayout", "PssVector", "NumericError", "pss_dim",
-    "extract_pss", "group_view", "column_names", "save_vector", "load_vector",
+    "extract_pss", "column_names", "save_vector", "load_vector",
     "PpcaModel", "ppca_fit", "ppca_encode", "ppca_decode",
     "cumulative_contribution", "choose_dim",
     "HppcaModel", "fit_hierarchy", "encode", "decode", "reduction_rate",

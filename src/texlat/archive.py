@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pss import PssLayout, PssParams, PssVector, pack_container, pss_dim, read_container
+from .pss import PssLayout, PssParams, pack_container, pss_dim, read_container
 
 ARCHIVE_MAGIC = b"PSSA"
 ARCHIVE_VERSION = 1
@@ -108,9 +108,6 @@ class FeatureArchive:
     @property
     def layout(self) -> PssLayout:
         return PssLayout.from_params(self.params)
-
-    def vector(self, i: int) -> PssVector:
-        return PssVector(self.features[i].copy(), self.layout)
 
 
 def _record_dtype(dim: int) -> np.dtype:

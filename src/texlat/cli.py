@@ -171,12 +171,17 @@ def _load_codes(path):
         raise ValueError(f"{path} is not a codes CSV (missing header)")
     if len(rows) < 2:
         raise ValueError(f"{path} has no code rows")
+    codes = np.empty((len(rows) - 1, len(rows[0]) - 1))
     for i, r in enumerate(rows[1:], start=1):
         if len(r) != len(rows[0]):
             raise ValueError(f"{path}: row {i} has {len(r)} values, header has {len(rows[0])}")
-    ids = [r[0] for r in rows[1:]]
-    codes = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-    return ids, codes
+        for j, cell in enumerate(r[1:]):
+            try:
+                codes[i - 1, j] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {i}, column c{j}, is {cell!r}, "
+                                 "not a number") from None
+    return [r[0] for r in rows[1:]], codes
 
 
 def cmd_encode(args) -> int:
@@ -234,6 +239,7 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--row {args.row} out of range for {len(ids)} codes")
         code = codes[args.row]
         size = args.synth_size or 128
+    pss.check_size(size, model.params)
     decoded = hppca.decode(model, code)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed,
                                     size=size)
@@ -252,6 +258,7 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_counts(args)
+    cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
     model = hppca.load_model(args.model)
     pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
@@ -285,7 +292,6 @@ def cmd_eval(args) -> int:
     class_names = list(manifest.classes)
     header = (["value"] + [f"tss_{c}" for c in class_names]
               + ["tss_all", "pss_err_all"])
-    cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
     # one task per image, scored against every swept model; the partial
     # carries the context to workers under every start method
     per_image = _pmap(partial(synthesis.evaluate_image, [m for _, m in sweeps], cfg,

@@ -55,36 +55,20 @@ class HppcaModel:
         return tuple(m.q for m in self.group_models)
 
 
-def _as_matrix(dataset, layout: PssLayout | None):
-    if isinstance(dataset, np.ndarray):
-        if layout is None:
-            raise ValueError("a matrix dataset needs an explicit layout")
-        x = np.asarray(dataset, dtype=np.float64)
-    else:
-        vectors = list(dataset)
-        if not vectors:
-            raise ValueError("empty dataset")
-        layout = vectors[0].layout
-        if any(v.layout != layout for v in vectors):
-            raise ValueError("dataset vectors have inconsistent layouts")
-        x = np.stack([v.values for v in vectors])
+def fit_hierarchy(matrix: np.ndarray, threshold: float, output_dim: int,
+                  layout: PssLayout) -> HppcaModel:
+    """Fit the grouped stage and the final stage.
+
+    `matrix` holds one statistic vector of `layout` per row, `threshold`
+    is the cumulative-contribution ratio used for every group, and
+    `output_dim` the final code length. An output_dim above the achieved
+    intermediate dimension is an error.
+    """
+    x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layout.dim:
         raise ValueError(f"data shape {x.shape} does not match layout dim {layout.dim}")
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
-    return x, layout
-
-
-def fit_hierarchy(dataset, threshold: float, output_dim: int,
-                  layout: PssLayout | None = None) -> HppcaModel:
-    """Fit the grouped stage and the final stage.
-
-    `dataset` is a sequence of PssVector (or an n x D matrix plus an
-    explicit layout), `threshold` the cumulative-contribution ratio
-    used for every group, `output_dim` the final code length. An
-    output_dim above the achieved intermediate dimension is an error.
-    """
-    x, layout = _as_matrix(dataset, layout)
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if output_dim < 1:

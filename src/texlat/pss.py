@@ -147,11 +147,6 @@ def pss_dim(params: PssParams) -> int:
     return sum(group_sizes(params))
 
 
-def group_view(v: PssVector, group: int) -> np.ndarray:
-    """Contiguous slice of the vector belonging to group 1..10."""
-    return v.group(group)
-
-
 def _level_tag(level: int, n_scales: int) -> str:
     return f"s{level}" if level <= n_scales else "lr"
 
@@ -309,7 +304,7 @@ class _Cache:
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
                  "mag_spec", "mag_var", "rho5", "interp", "cross", "var20",
-                 "ok20", "rho20", "idx67", "dc_gain", "values")
+                 "ok20", "rho20", "idx67", "dc_gain")
 
 
 def check_size(size: int, params: PssParams) -> None:
@@ -428,7 +423,6 @@ def _forward(img, params: PssParams):
     if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise NumericError(f"non-finite statistic at flat index {bad}")
-    cc.values = out
     return out, cc
 
 

@@ -239,7 +239,6 @@ class TransferStack:
         self.params = params
         n_sc, n_or = params.n_scales, params.n_orientations
         r, th = _freq_grid(size)
-        self.lowpass0 = radial_lowpass(r / 2.0) / 2.0
         self.highpass0 = radial_highpass(r / 2.0)
         self.high_recon = self.highpass0 ** 2
         self.angular = [angular_gain(k, n_or, th) for k in range(n_or)]
@@ -247,7 +246,7 @@ class TransferStack:
         # the way Hermitian completion of the half-plane bands does
         negated = [np.roll(g[::-1, ::-1], 1, axis=(0, 1)) for g in self.angular]
 
-        chain = self.lowpass0.copy()
+        chain = radial_lowpass(r / 2.0) / 2.0  # L0, then each scale's low-pass
         self.band_analysis = []  # [n][k], single analysis pass
         band_recon = []          # analysis+synthesis round trips, (n, k) order
         self.scale_recon = []    # [n], sum of the scale's band round trips
@@ -268,12 +267,11 @@ class TransferStack:
         self.corr_recon = np.stack(band_recon + oriented)
         self.acorr_power = np.stack(band_recon + self.scale_recon + [self.low_recon]) ** 2
         # instances are cached and shared; freeze every grid
-        for arr in (self.lowpass0, self.highpass0, self.high_recon,
+        for arr in (self.highpass0, self.high_recon,
                     self.low_analysis, self.low_recon, *self.angular,
                     *self.scale_recon, self.corr_recon, self.acorr_power,
                     *(t for lv in self.band_analysis for t in lv)):
             arr.flags.writeable = False
-        self.band_recon = [list(self.corr_recon[n * n_or:(n + 1) * n_or]) for n in range(n_sc)]
 
     def filter_image(self, img: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         """Apply a real transfer; also the adjoint of the same map."""

@@ -4,9 +4,10 @@ Synthesis minimizes a weighted squared distance between the statistics
 of the evolving image and a target statistic vector by L-BFGS (Liu &
 Nocedal 1989) from moment-matched Gaussian noise. The full L-BFGS step
 nearly always passes the Armijo test, so an iteration costs about one
-statistic forward and one backward. The per-group weights default to the
-inverse squared magnitude of the target's groups so every group starts
-with an O(1) contribution.
+statistic forward and one backward. The per-group weights are always the
+target's defaults, the inverse squared magnitude of each group, so every
+group starts with an O(1) contribution. One private objective gives the
+distance and its cotangent to synthesis and to pss_gradient alike.
 
 The similarity score between a synthesized sample patch and a source
 texture is the maximum cosine similarity between the raw sample pixel
@@ -49,17 +50,10 @@ class SynthesisConfig:
     iterations: int = 50
     seed: int = 0
     size: int = 128
-    weights: np.ndarray | None = None  # ten group weights; None = from target
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (10,) or not np.isfinite(w).all() or (w < 0).any() \
-                    or not w.any():
-                raise ValueError("weights must be 10 finite non-negative reals, not all zero")
-            self.weights = w
 
 
 def default_weights(target: PssVector) -> np.ndarray:
@@ -68,31 +62,35 @@ def default_weights(target: PssVector) -> np.ndarray:
                      for i in range(1, 11)])
 
 
-def _coordinate_weights(layout, group_weights) -> np.ndarray:
-    w = np.empty(layout.dim)
-    for gi in range(1, 11):
-        w[layout.group_slice(gi)] = group_weights[gi - 1]
-    return w
+def _coordinate_weights(target: PssVector, weights=None) -> np.ndarray:
+    """Each coordinate's group weight; None takes default_weights(target)."""
+    gw = default_weights(target) if weights is None else np.asarray(weights, dtype=np.float64)
+    return np.repeat(gw, target.layout.sizes)
+
+
+def _objective(img, target: PssVector, wvec):
+    """The weighted distance of img's statistics from the target, the forward
+    cache, and the distance's cotangent 2 w (values - target) that the
+    backward pass turns into the pixel gradient."""
+    values, cache = pss_mod._forward(img, target.params)
+    diff = values - target.values
+    return float(wvec @ (diff * diff)), cache, 2.0 * wvec * diff
 
 
 def pss_distance(a: PssVector, b: PssVector, weights=None) -> float:
     """Sum over groups of weight * squared Euclidean group distance."""
     if a.layout != b.layout:
         raise ValueError("statistic vectors have different layouts")
-    gw = default_weights(b) if weights is None else np.asarray(weights, dtype=np.float64)
     diff = a.values - b.values
-    return float(_coordinate_weights(a.layout, gw) @ (diff * diff))
+    return float(_coordinate_weights(b, weights) @ (diff * diff))
 
 
 def pss_gradient(img, target: PssVector, weights=None) -> np.ndarray:
     """Pixel gradient of pss_distance(statistics(img), target)."""
-    params = target.params
-    if params is None:
+    if target.params is None:
         raise ValueError("target must carry a parameter-derived layout")
-    gw = default_weights(target) if weights is None else np.asarray(weights, dtype=np.float64)
-    wvec = _coordinate_weights(target.layout, gw)
-    values, cache = pss_mod._forward(img, params)
-    return pss_mod._backward(cache, 2.0 * wvec * (values - target.values))
+    _, cache, cot = _objective(img, target, _coordinate_weights(target, weights))
+    return pss_mod._backward(cache, cot)
 
 
 def _dot(a, b) -> float:
@@ -151,23 +149,15 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     seeds give bit-identical output. Raises NumericError when the
     target or the starting distance is not finite.
     """
-    params = target.params
-    if params is None:
+    if target.params is None:
         raise ValueError("target must carry a parameter-derived layout")
     if not np.isfinite(target.values).all():
         raise NumericError("target statistic holds non-finite values")
-    gw = cfg.weights if cfg.weights is not None else default_weights(target)
-    wvec = _coordinate_weights(target.layout, gw)
+    wvec = _coordinate_weights(target)
 
     x = (initial_image(target, cfg) if init_image is None
          else np.asarray(init_image, dtype=np.float64).copy())
-
-    def objective(vals):
-        d = vals - target.values
-        return float(wvec @ (d * d))
-
-    values, cache = pss_mod._forward(x, params)
-    fval = objective(values)
+    fval, cache, cot = _objective(x, target, wvec)
     if not np.isfinite(fval):
         raise NumericError(f"starting distance is {fval}")
     trace = [fval]
@@ -177,7 +167,7 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     for it in range(cfg.iterations):
         if grad is None:  # the image moved: take the gradient where it is now
             try:
-                grad = pss_mod._backward(cache, 2.0 * wvec * (values - target.values)).ravel()
+                grad = pss_mod._backward(cache, cot).ravel()
             except NumericError as exc:
                 raise NumericError(f"iteration {it}: {exc}") from exc
             if step is not None:
@@ -199,8 +189,7 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
         for _ in range(MAX_BACKTRACKS):
             cand = x + t * d.reshape(x.shape)
             try:
-                cvals, ccache = pss_mod._forward(cand, params)
-                cf = objective(cvals)
+                cf, ccache, ccot = _objective(cand, target, wvec)
             except NumericError:
                 cf = np.inf
             if cf <= fval + ARMIJO * t * slope:
@@ -213,7 +202,7 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
             trace.append(fval)
             continue
         step, prev_grad, grad = t * d, grad, None
-        x, values, cache, fval = cand, cvals, ccache, cf
+        x, cache, cot, fval = cand, ccache, ccot, cf
         trace.append(fval)
     trace += [fval] * (cfg.iterations + 1 - len(trace))
     return x, np.asarray(trace)
@@ -266,7 +255,7 @@ def _best_match(s, terms: SourceTerms) -> TssReport:
     return TssReport(float(sims.flat[best]), s.shape[0], sims.size, (int(loc[0]), int(loc[1])))
 
 
-def tss(sample, source, patch_size: int | None = None) -> TssReport:
+def tss(sample, source) -> TssReport:
     """Maximum cosine similarity between the sample and all source patches.
 
     Raw pixel vectors, no mean removal; zero-norm vectors contribute a
@@ -276,10 +265,7 @@ def tss(sample, source, patch_size: int | None = None) -> TssReport:
     s = np.asarray(sample, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError(f"sample must be a square patch, got shape {s.shape}")
-    p = s.shape[0]
-    if patch_size is not None and patch_size != p:
-        raise ValueError(f"sample is {p}x{p} but patch size {patch_size} was requested")
-    return _best_match(s, SourceTerms(source, p))
+    return _best_match(s, SourceTerms(source, s.shape[0]))
 
 
 def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:

@@ -97,6 +97,12 @@ def synthetic_corpus(size, per_class, noise_seed=77):
     return out
 
 
+def vector_matrix(vectors):
+    """Statistic vectors of one layout as the (matrix, layout) pair that
+    hppca.fit_hierarchy takes."""
+    return np.stack([v.values for v in vectors]), vectors[0].layout
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

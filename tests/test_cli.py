@@ -255,6 +255,18 @@ class TestEncodeDecode:
         assert f"row 2, column c1, is {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decode", "synth"])
+    def test_non_numeric_code_fails_naming_file_row_and_column(self, trained, tmp_path,
+                                                               capsys, command):
+        _, _, model_path = trained
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_text("id,c0,c1,c2\nx,1,2,3\ny,1,2,abc\n")
+        args = ([bad] if command == "decode"
+                else ["--code", bad, "--row", "0", "--synth-size", "32"])
+        assert run(command, model_path, *args, "-o", out) == 2
+        assert f"{bad}: row 2, column c2, is 'abc', not a number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_decode_exits_three(self, trained, tmp_path, capsys):
         _, _, model_path = trained
@@ -306,6 +318,14 @@ class TestSynth:
         assert run("synth", model_path, "--code", codes, "--row", "2",
                    "-o", tmp_path / "s.pgm", "--iterations", "1",
                    "--synth-size", "32") == 0
+
+    def test_negative_synth_size_fails_naming_it(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        out = tmp_path / "s.pgm"
+        assert run("synth", model_path, "--input", root / "alpha" / "a0.pgm", "-o", out,
+                   "--synth-size", "-4", "--size", "32") == 2
+        assert "image side must be a power of two, got -4" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, trained, tmp_path):
@@ -467,6 +487,14 @@ class TestEval:
         root, _, model_path = trained
         assert run("eval", model_path, root, "-o", tmp_path / "r.csv",
                    "--sweep-dim", "2", "--size", "32") == 2
+
+    def test_negative_iterations_fail_before_any_refit(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--iterations", "-1", "--sweep-dim", "5") == 2
+        assert "iterations must be >= 0" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--train-count", "-1"), ("--eval-count", "-2"), ("--jobs", "0"), ("--jobs", "-3")])

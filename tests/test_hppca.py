@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import vector_matrix
 from texlat import hppca, ppca, pss
 from texlat.pss import PssLayout, PssParams, PssVector
 
@@ -8,10 +9,10 @@ from texlat.pss import PssLayout, PssParams, PssVector
 @pytest.fixture
 def small_corpus(rng):
     params = PssParams(2, 2, 3)
-    layout = PssLayout.from_params(params)
     vecs = [pss.extract_pss(rng.standard_normal((32, 32)) * (15 + 3 * (i % 5)) + 110,
                             params) for i in range(30)]
-    return layout, vecs, np.stack([v.values for v in vecs])
+    x, layout = vector_matrix(vecs)
+    return layout, vecs, x
 
 
 def rank2_blocks(rng, sizes, n):
@@ -52,12 +53,6 @@ class TestFitHierarchy:
         enc = ppca.encode(model.group_models[8], x[:, g9])
         np.testing.assert_array_equal(enc, np.zeros_like(enc))
 
-    def test_vector_and_matrix_paths_agree(self, small_corpus):
-        layout, vecs, x = small_corpus
-        m1 = hppca.fit_hierarchy(vecs, 0.99, 4)
-        m2 = hppca.fit_hierarchy(x, 0.99, 4, layout=layout)
-        np.testing.assert_array_equal(m1.final_model.loadings, m2.final_model.loadings)
-
     def test_output_dim_above_intermediate_is_an_error(self, small_corpus):
         layout, _, x = small_corpus
         probe = hppca.fit_hierarchy(x, 0.9, 1, layout=layout)
@@ -66,10 +61,11 @@ class TestFitHierarchy:
             hppca.fit_hierarchy(x, 0.9, too_big, layout=layout)
 
     def test_inconsistent_layouts_rejected(self, small_corpus, rng):
-        _, vecs, _ = small_corpus
-        other = pss.extract_pss(rng.standard_normal((32, 32)), PssParams(2, 2, 5))
+        layout, _, _ = small_corpus
+        other, _ = vector_matrix([pss.extract_pss(rng.standard_normal((32, 32)),
+                                                  PssParams(2, 2, 5)) for _ in range(3)])
         with pytest.raises(ValueError, match="layout"):
-            hppca.fit_hierarchy([vecs[0], other], 0.9, 2)
+            hppca.fit_hierarchy(other, 0.9, 2, layout=layout)
 
     def test_too_few_samples_rejected(self, small_corpus):
         layout, _, x = small_corpus
@@ -80,7 +76,7 @@ class TestFitHierarchy:
 class TestEncodeDecode:
     def test_code_length_and_mean_behavior(self, small_corpus):
         layout, vecs, x = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 5)
+        model = hppca.fit_hierarchy(x, 0.999, 5, layout=layout)
         code = hppca.encode(model, vecs[0])
         assert code.shape == (5,)
         mean_vec = PssVector(x.mean(axis=0), layout)
@@ -89,8 +85,8 @@ class TestEncodeDecode:
                                    x.mean(axis=0), atol=1e-9)
 
     def test_encode_is_affine(self, small_corpus, rng):
-        layout, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 5)
+        layout, vecs, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 5, layout=layout)
         a = rng.standard_normal(layout.dim)
         b = rng.standard_normal(layout.dim)
         base = vecs[0].values
@@ -100,8 +96,8 @@ class TestEncodeDecode:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_roundtrip_idempotent(self, small_corpus):
-        _, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 6)
+        layout, vecs, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 6, layout=layout)
         once = hppca.decode(model, hppca.encode(model, vecs[3]))
         twice = hppca.decode(model, hppca.encode(model, once))
         np.testing.assert_allclose(twice.values, once.values, atol=1e-8)
@@ -131,8 +127,8 @@ class TestEncodeDecode:
         np.testing.assert_allclose(two_stage, x, atol=1e-8)
 
     def test_group_independence_before_final_stage(self, small_corpus, rng):
-        layout, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 5)
+        layout, vecs, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 5, layout=layout)
         base = vecs[0].values
         bumped = base.copy()
         bumped[layout.group_slice(3)] += rng.standard_normal(layout.sizes[2])
@@ -146,8 +142,8 @@ class TestEncodeDecode:
                 np.testing.assert_array_equal(z1, z2)
 
     def test_layout_mismatch_rejected(self, small_corpus, rng):
-        _, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 5)
+        layout, _, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 5, layout=layout)
         other = pss.extract_pss(rng.standard_normal((32, 32)), PssParams(2, 2, 5))
         with pytest.raises(ValueError, match="layout"):
             hppca.encode(model, other)
@@ -168,16 +164,16 @@ class TestReductionRate:
         assert abs(hppca.reduction_rate(model1000) - 0.4395) < 5e-5
 
     def test_full_width_code_reduces_nothing(self, small_corpus):
-        layout, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 3)
+        layout, _, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 3, layout=layout)
         model.final_model.q = layout.dim  # hypotheticalident-width code
         assert hppca.reduction_rate(model) == 0.0
 
 
 class TestModelSerialization:
     def test_roundtrip_bit_exact(self, small_corpus, tmp_path):
-        _, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 5)
+        layout, _, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 5, layout=layout)
         p = tmp_path / "m.hpca"
         hppca.save_model(model, p)
         loaded = hppca.load_model(p)
@@ -198,8 +194,8 @@ class TestModelSerialization:
             hppca.load_model(p)
 
     def test_version_mismatch_names_both_versions(self, small_corpus, tmp_path):
-        _, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 2)
+        layout, _, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 2, layout=layout)
         p = tmp_path / "m.hpca"
         hppca.save_model(model, p)
         raw = bytearray(p.read_bytes())
@@ -209,8 +205,8 @@ class TestModelSerialization:
             hppca.load_model(p)
 
     def test_truncation_detected(self, small_corpus, tmp_path):
-        _, vecs, _ = small_corpus
-        model = hppca.fit_hierarchy(vecs, 0.999, 2)
+        layout, _, x = small_corpus
+        model = hppca.fit_hierarchy(x, 0.999, 2, layout=layout)
         p = tmp_path / "m.hpca"
         hppca.save_model(model, p)
         p.write_bytes(p.read_bytes()[:-16])

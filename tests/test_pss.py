@@ -47,16 +47,16 @@ class TestDimensions:
 class TestLayout:
     def test_group_views_partition_the_vector(self, rng):
         v = extract(rng.standard_normal((32, 32)), 2, 2, 3)
-        pieces = [pss.group_view(v, g) for g in range(1, 11)]
+        pieces = [v.group(g) for g in range(1, 11)]
         assert [p.size for p in pieces] == list(v.layout.sizes)
         np.testing.assert_array_equal(np.concatenate(pieces), v.values)
 
     def test_group_view_bad_index(self, rng):
         v = extract(rng.standard_normal((32, 32)), 2, 2, 3)
         with pytest.raises(IndexError):
-            pss.group_view(v, 11)
+            v.group(11)
         with pytest.raises(IndexError):
-            pss.group_view(v, 0)
+            v.group(0)
 
     def test_custom_layout_checks_sizes(self):
         lay = PssLayout((5, 4, 6, 8, 3, 4, 5, 6, 4, 3))
@@ -155,7 +155,7 @@ def upsample(img, size):
 def spatial_reference(img, n_sc, n_or, m):
     """C3 to C10 computed from filtered images and magnitude grids in space."""
     stack = pyramid.transfer_stack(img.shape[0], n_sc, n_or)
-    bands = [stack.filter_image(img, t) for level in stack.band_recon for t in level]
+    bands = [stack.filter_image(img, t) for t in stack.corr_recon[:n_sc * n_or]]
     levels = [stack.filter_image(img, t) for t in (*stack.scale_recon, stack.low_recon)]
     # filter_image keeps the real part of the one-sided oriented low-pass
     oriented = [stack.filter_image(img, g * stack.low_recon) for g in stack.angular]

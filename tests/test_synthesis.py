@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import filtered_noise, grating
+from conftest import filtered_noise, grating, vector_matrix
 from texlat import hppca, pss, synthesis
 from texlat.pss import PssParams, PssVector
 from texlat.synthesis import SynthesisConfig
@@ -279,9 +279,6 @@ class TestTss:
             synthesis.tss(rng.standard_normal((9, 9)), rng.standard_normal((8, 8)))
         with pytest.raises(ValueError):
             synthesis.tss(rng.standard_normal((3, 4)), rng.standard_normal((8, 8)))
-        with pytest.raises(ValueError):
-            synthesis.tss(rng.standard_normal((3, 3)), rng.standard_normal((8, 8)),
-                          patch_size=5)
 
 
 class TestSampleGrid:
@@ -322,12 +319,12 @@ class TestEvaluateModel:
         params = PssParams(2, 2, 3)
         imgs = [(f"img{i}", rng.standard_normal((32, 32)) * (20 + 4 * i) + 120)
                 for i in range(6)]
-        vecs = [pss.extract_pss(im, params) for _, im in imgs]
-        return params, imgs, vecs
+        x, layout = vector_matrix([pss.extract_pss(im, params) for _, im in imgs])
+        return params, imgs, x, layout
 
     def test_rows_and_bounds(self, tiny_setup):
-        params, imgs, vecs = tiny_setup
-        model = hppca.fit_hierarchy(vecs, 0.999, 4)
+        params, imgs, x, layout = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 4, layout)
         rows = synthesis.evaluate_model(model, imgs[:3],
                                         SynthesisConfig(iterations=2, seed=5),
                                         patch_size=9)
@@ -338,9 +335,8 @@ class TestEvaluateModel:
             assert r.samples == 9
 
     def test_near_lossless_model_attains_tiny_pss_error(self, tiny_setup):
-        params, imgs, vecs = tiny_setup
-        x = np.stack([v.values for v in vecs])
-        model = hppca.fit_hierarchy(vecs, 1.0 - 1e-12, x.shape[0] - 1)
+        params, imgs, x, layout = tiny_setup
+        model = hppca.fit_hierarchy(x, 1.0 - 1e-12, x.shape[0] - 1, layout)
         rows = synthesis.evaluate_model(model, imgs[:2],
                                         SynthesisConfig(iterations=0, seed=5),
                                         patch_size=9)
@@ -348,16 +344,16 @@ class TestEvaluateModel:
             assert r.pss_rel_err <= 1e-6
 
     def test_deterministic(self, tiny_setup):
-        params, imgs, vecs = tiny_setup
-        model = hppca.fit_hierarchy(vecs, 0.999, 3)
+        params, imgs, x, layout = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
         cfg = SynthesisConfig(iterations=2, seed=9)
         r1 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         r2 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         assert [(a.tss, a.pss_rel_err) for a in r1] == [(b.tss, b.pss_rel_err) for b in r2]
 
     def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
-        params, imgs, vecs = tiny_setup
-        models = [hppca.fit_hierarchy(vecs, 0.999, d) for d in (2, 4)]
+        params, imgs, x, layout = tiny_setup
+        models = [hppca.fit_hierarchy(x, 0.999, d, layout) for d in (2, 4)]
         cfg = SynthesisConfig(iterations=0, seed=5)
         index, (image_id, img) = 3, imgs[3]
         rows = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
@@ -369,8 +365,8 @@ class TestEvaluateModel:
             assert (row.tss, row.samples) == synthesis.sample_grid_tss(out, img, 9)
 
     def test_non_finite_decoded_statistic_raises(self, tiny_setup, monkeypatch):
-        params, imgs, vecs = tiny_setup
-        model = hppca.fit_hierarchy(vecs, 0.999, 3)
+        params, imgs, x, layout = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
         decode = hppca.decode
 
         def non_finite(m, code):
@@ -383,21 +379,13 @@ class TestEvaluateModel:
                                      (0, imgs[0]))
 
     def test_empty_set_rejected(self, tiny_setup):
-        params, imgs, vecs = tiny_setup
-        model = hppca.fit_hierarchy(vecs, 0.999, 3)
+        params, imgs, x, layout = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
         with pytest.raises(ValueError):
             synthesis.evaluate_model(model, [], SynthesisConfig(iterations=0))
 
 
 class TestConfigValidation:
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(weights=np.zeros(10))
-        with pytest.raises(ValueError):
-            SynthesisConfig(weights=np.full(10, -1.0))
-        with pytest.raises(ValueError):
-            SynthesisConfig(weights=np.ones(9))
-
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             SynthesisConfig(iterations=-1)
