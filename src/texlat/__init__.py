@@ -21,8 +21,8 @@ from .hppca import (HppcaModel, decode, encode, fit_hierarchy, load_model,
 from .synthesis import (EvalRow, SynthesisConfig, TssReport, default_weights,
                         evaluate_model, pss_distance, pss_gradient,
                         sample_grid_tss, synthesize, tss)
-from .archive import (DatasetManifest, FeatureArchive, Preprocess,
-                      discover_dataset, load_archive, save_archive)
+from .archive import (DatasetManifest, FeatureArchive, discover_dataset,
+                      load_archive, save_archive)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "SynthesisConfig", "TssReport", "EvalRow", "default_weights",
     "pss_distance", "pss_gradient", "synthesize", "tss", "sample_grid_tss",
     "evaluate_model",
-    "Preprocess", "DatasetManifest", "FeatureArchive", "discover_dataset",
+    "DatasetManifest", "FeatureArchive", "discover_dataset",
     "save_archive", "load_archive",
     "__version__",
 ]

@@ -5,8 +5,8 @@ behind the shared container header and the class list, so the records
 can be read with one structured view. Datasets follow the
 one-directory-per-class convention; an optional JSON manifest can
 override the root, the class list and the per-class train/eval split
-counts. Preprocessing comes only from the command line, so a manifest
-that sets it is rejected.
+counts. Preprocessing is fixed but for the command line's --size, so a
+manifest that sets it is rejected.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ ARCHIVE_VERSION = 1
 _ID_BYTES = 96
 
 _IMAGE_SUFFIXES = (".pgm", ".png")
-
-
-@dataclass
-class Preprocess:
-    size: int = 128        # resize target (0 keeps the source size)
-    mean: float = 127.0
-    std: float = 40.0
 
 
 @dataclass
@@ -75,8 +68,7 @@ def discover_dataset(root, manifest_path=None, train_count: int = 0,
         if not isinstance(spec, dict):
             raise ValueError(f"manifest {manifest_path} must be a JSON object")
         if "preprocess" in spec:
-            raise ValueError("manifest 'preprocess' is not supported; "
-                             "use --size/--norm-mean/--norm-std")
+            raise ValueError("manifest 'preprocess' is not supported; use --size")
         classes = spec.get("classes")
         if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
                 or len(set(classes)) != len(classes)):

@@ -23,6 +23,9 @@ from . import hppca, image, pss, pyramid, synthesis
 
 log = logging.getLogger("texlat")
 
+# every image is normalized alike, so statistics from any command compare
+NORM_MEAN, NORM_STD = 127.0, 40.0
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage is 1
@@ -41,19 +44,11 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _params(args) -> pss.PssParams:
-    return pss.PssParams(args.scales, args.orients, args.neighbor)
-
-
-def _preprocess(args) -> ar.Preprocess:
-    return ar.Preprocess(args.size, args.norm_mean, args.norm_std)
-
-
-def _prepare_image(path, pp: ar.Preprocess) -> np.ndarray:
+def _prepare_image(path, size: int) -> np.ndarray:
     img = image.load_image(path)
-    if pp.size and img.shape != (pp.size, pp.size):
-        img = image.resize_box(img, pp.size, pp.size)
-    return image.normalize(img, pp.mean, pp.std)
+    if size and img.shape != (size, size):
+        img = image.resize_box(img, size, size)
+    return image.normalize(img, NORM_MEAN, NORM_STD)
 
 
 def _check_counts(args) -> None:
@@ -99,9 +94,9 @@ def _pmap(fn, items, jobs: int):
 # extract
 
 def _extract_one(task):
-    label, ident, path, pp, params = task
+    label, ident, path, size, params = task
     try:
-        vec = pss.extract_pss(_prepare_image(path, pp), params)
+        vec = pss.extract_pss(_prepare_image(path, size), params)
         return label, ident, vec.values, None
     except Exception as exc:  # collected per-file, reported at the end
         return label, ident, None, f"{path}: {exc}"
@@ -109,10 +104,9 @@ def _extract_one(task):
 
 def cmd_extract(args) -> int:
     _check_counts(args)
-    params = _params(args)
-    pp = _preprocess(args)
-    if pp.size:  # one message for a geometry every image would fail
-        pss.check_size(pp.size, params)
+    params = pss.PssParams(args.scales, args.orients, args.neighbor)
+    if args.size:  # one message for a geometry every image would fail
+        pss.check_size(args.size, params)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
                                    args.train_count, args.eval_count)
     tasks = []
@@ -120,7 +114,7 @@ def cmd_extract(args) -> int:
         files = manifest.split(cls, args.split)
         if not files:
             raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
-        tasks += [(label, f"{cls}/{f.name}", f, pp, params) for f in files]
+        tasks += [(label, f"{cls}/{f.name}", f, args.size, params) for f in files]
     log.info("extracting %d images from %d classes", len(tasks), len(manifest.classes))
 
     results = _pmap(_extract_one, tasks, args.jobs)
@@ -192,10 +186,9 @@ def cmd_encode(args) -> int:
             raise ValueError("archive parameters do not match the model")
         ids, feats = arch.ids, arch.features
     else:
-        pp = _preprocess(args)
         ids = list(args.inputs)
         feats = np.stack([
-            pss.extract_pss(_prepare_image(p, pp), model.params).values
+            pss.extract_pss(_prepare_image(p, args.size), model.params).values
             for p in args.inputs])
     codes = hppca.encode_batch(model, feats)
     _check_output(codes, ids, "code")
@@ -230,7 +223,7 @@ def cmd_synth(args) -> int:
     if (args.input is None) == (args.code is None):
         raise ValueError("exactly one of --input or --code is required")
     if args.input:
-        img = _prepare_image(args.input, _preprocess(args))
+        img = _prepare_image(args.input, args.size)
         code = hppca.encode(model, pss.extract_pss(img, model.params))
         size = args.synth_size or img.shape[0]
     else:
@@ -239,7 +232,6 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--row {args.row} out of range for {len(ids)} codes")
         code = codes[args.row]
         size = args.synth_size or 128
-    pss.check_size(size, model.params)
     decoded = hppca.decode(model, code)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed,
                                     size=size)
@@ -259,8 +251,16 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     _check_counts(args)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
+    # the checks the scoring and the refits would make, before either has work to waste
+    if args.patch_size < 1:
+        raise ValueError(f"patch size must be >= 1, got {args.patch_size}")
+    for d in args.sweep_dim or []:
+        if d < 1:
+            raise ValueError(f"output dimension must be >= 1, got {d}")
+    for r in args.sweep_ccr or []:
+        if not 0 < r <= 1:
+            raise ValueError(f"threshold must be in (0, 1], got {r}")
     model = hppca.load_model(args.model)
-    pp = _preprocess(args)
     manifest = ar.discover_dataset(args.dataset, args.manifest,
                                    args.train_count, args.eval_count)
     items, classes = [], []
@@ -269,7 +269,7 @@ def cmd_eval(args) -> int:
         if not files:
             raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
         for f in files:
-            items.append((f"{cls}/{f.name}", _prepare_image(f, pp)))
+            items.append((f"{cls}/{f.name}", _prepare_image(f, args.size)))
             classes.append(cls)
     log.info("evaluating %d images", len(items))
 
@@ -375,8 +375,6 @@ def _add_params(p: argparse.ArgumentParser):
 def _add_preprocess(p: argparse.ArgumentParser):
     p.add_argument("--size", type=int, default=128,
                    help="resize target side, 0 keeps the source size")
-    p.add_argument("--norm-mean", type=float, default=127.0)
-    p.add_argument("--norm-std", type=float, default=40.0)
 
 
 def _add_dataset(p: argparse.ArgumentParser):

@@ -81,10 +81,6 @@ class PssParams:
         if m < 3 or m % 2 == 0:
             raise ValueError(f"neighborhood must be odd and >= 3, got {m}")
 
-    @property
-    def pyramid(self) -> PyramidParams:
-        return PyramidParams(self.n_scales, self.n_orientations)
-
 
 def group_sizes(params: PssParams) -> tuple[int, ...]:
     n, k, m = params.n_scales, params.n_orientations, params.neighborhood

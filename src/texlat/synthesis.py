@@ -25,6 +25,7 @@ the seeded noise itself, so evaluation computes no statistic of it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -101,20 +102,20 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _lbfgs_direction(g, S, Y, rho, slots) -> np.ndarray:
+def _lbfgs_direction(g, pairs) -> np.ndarray:
     """-H g by the two-loop recursion (Nocedal 1980), H the inverse-Hessian
-    estimate from the pairs S[i], Y[i] with rho[i] = 1 / (y's), i in slots
-    newest first, starting from (s'y / y'y of the newest pair) times I."""
+    estimate from the (s, y, 1 / (y's)) pairs, newest first, starting from
+    (s'y / y'y of the newest pair) times I."""
     q = g.copy()
     alphas = []
-    for i in slots:
-        a = rho[i] * _dot(S[i], q)
-        q -= a * Y[i]
+    for s, y, rho in pairs:
+        a = rho * _dot(s, q)
+        q -= a * y
         alphas.append(a)
-    newest = Y[slots[0]]
-    q *= 1.0 / (rho[slots[0]] * _dot(newest, newest))
-    for i, a in zip(reversed(slots), reversed(alphas)):
-        q += (a - rho[i] * _dot(Y[i], q)) * S[i]
+    _, newest, rho = pairs[0]
+    q *= 1.0 / (rho * _dot(newest, newest))
+    for (s, y, rho), a in zip(reversed(pairs), reversed(alphas)):
+        q += (a - rho * _dot(y, q)) * s
     return -q
 
 
@@ -151,6 +152,8 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     """
     if target.params is None:
         raise ValueError("target must carry a parameter-derived layout")
+    if init_image is None:  # before the draw, which takes any side
+        pss_mod.check_size(cfg.size, target.params)
     if not np.isfinite(target.values).all():
         raise NumericError("target statistic holds non-finite values")
     wvec = _coordinate_weights(target)
@@ -161,8 +164,7 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     if not np.isfinite(fval):
         raise NumericError(f"starting distance is {fval}")
     trace = [fval]
-    S, Y, rho = np.empty((MEMORY, x.size)), np.empty((MEMORY, x.size)), np.empty(MEMORY)
-    slots: list[int] = []  # rows of S and Y in use, newest pair first
+    pairs = deque(maxlen=MEMORY)  # (s, y, 1 / (y's)), newest first
     grad = step = prev_grad = None
     for it in range(cfg.iterations):
         if grad is None:  # the image moved: take the gradient where it is now
@@ -174,12 +176,10 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
                 y = grad - prev_grad
                 sy = _dot(step, y)
                 if sy > CURVATURE * np.sqrt(_dot(step, step) * _dot(y, y)):
-                    i = slots.pop() if len(slots) == MEMORY else len(slots)
-                    S[i], Y[i], rho[i] = step, y, 1.0 / sy
-                    slots.insert(0, i)
-        d = _lbfgs_direction(grad, S, Y, rho, slots) if slots else None
+                    pairs.appendleft((step, y, 1.0 / sy))
+        d = _lbfgs_direction(grad, pairs) if pairs else None
         if d is None or not _dot(grad, d) < 0:
-            slots.clear()
+            pairs.clear()
             gn2 = _dot(grad, grad)
             if gn2 <= 1e-300:
                 break
@@ -196,9 +196,9 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
                 break
             t *= STEP_SHRINK
         else:
-            if not slots:  # steepest descent failed; every later iteration would too
+            if not pairs:  # steepest descent failed; every later iteration would too
                 break
-            slots.clear()
+            pairs.clear()
             trace.append(fval)
             continue
         step, prev_grad, grad = t * d, grad, None
@@ -324,7 +324,7 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
     terms = SourceTerms(a, patch_size)
-    noise = _unit_noise(run_cfg) if cfg.iterations == 0 else None
+    noise = _unit_noise(run_cfg)
     rows = []
     for model in models:
         decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
@@ -332,10 +332,9 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
                     / max(np.linalg.norm(v.values), 1e-300))
         if not np.isfinite(rel):  # also catches every non-finite decoded value
             raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
-        if cfg.iterations == 0:
-            synth = initial_image(decoded, run_cfg, noise)
-        else:
-            synth, _ = synthesize(decoded, run_cfg)
+        synth = initial_image(decoded, run_cfg, noise)
+        if cfg.iterations > 0:
+            synth, _ = synthesize(decoded, run_cfg, synth)
         score, count = sample_grid_tss(synth, terms, patch_size)
         if not np.isfinite(score):
             raise NumericError(f"{image_id}: TSS is {score}")

@@ -130,7 +130,7 @@ class TestManifest:
         ({"classes": ["alpha", "alpha"]}, "'classes'"),
         ([1, 2], "JSON object"),
         ({"classes": ["alpha"], "train_count": 1.5}, "'train_count'"),
-        ({"classes": ["alpha"], "preprocess": {"size": 16}}, "--size/--norm-mean/--norm-std"),
+        ({"classes": ["alpha"], "preprocess": {"size": 16}}, "use --size"),
     ], ids=["no-classes", "classes-not-list", "repeated-class", "not-an-object", "float-count", "preprocess"])
     def test_malformed_manifest_exits_two_naming_the_key(self, pgm_dataset, tmp_path,
                                                           capsys, spec, reason):
@@ -446,6 +446,52 @@ class TestEval:
                       np.mean([r.pss_rel_err for r in rows])]
             assert row[0] == str(d)
             assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+
+    def test_ccr_sweep_rows_are_the_refit_models_means(self, trained, tmp_path):
+        root, arch_path, model_path = trained
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--archive", arch_path, "--sweep-ccr", "0.999,0.9999",
+                   "--iterations", "1", "--patch-size", "9") == 0
+
+        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
+                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
+        arch, model = load_archive(arch_path), hppca.load_model(model_path)
+        body = read_csv(report)[1:]
+        assert len(body) == 2
+        for ccr, row in zip((0.999, 0.9999), body):
+            swept = hppca.fit_hierarchy(arch.features, ccr, model.output_dim,
+                                        layout=arch.layout)
+            rows = synthesis.evaluate_model(swept, items,
+                                            synthesis.SynthesisConfig(iterations=1), 9)
+            tss = [r.tss for r in rows]
+            expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
+                      np.mean([r.pss_rel_err for r in rows])]
+            assert row[0] == cli._fmt(ccr)
+            assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--sweep-dim", "2,0"], "output dimension must be >= 1, got 0"),
+        (["--sweep-ccr", "0.999,1.5"], "threshold must be in (0, 1], got 1.5"),
+        (["--sweep-ccr", "0"], "threshold must be in (0, 1], got 0.0"),
+        (["--sweep-dim", "2,3", "--patch-size", "0"], "patch size must be >= 1, got 0"),
+    ], ids=["dim-zero", "ccr-above-one", "ccr-zero", "patch-size-zero"])
+    def test_bad_value_fails_before_any_image_load_or_refit(self, trained, tmp_path,
+                                                            capsys, monkeypatch,
+                                                            flags, reason):
+        root, arch, model_path = trained
+        calls = []
+        for module, name in ((image, "load_image"), (hppca, "fit_hierarchy")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **kw:
+                                calls.append(name) or real(*a, **kw))
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--archive", arch, "--iterations", "0", "--patch-size", "9",
+                   *flags) == 2
+        assert reason in capsys.readouterr().err
+        assert calls == []
+        assert not report.exists()
 
     def test_zero_iterations_make_one_forward_per_image(self, trained, tmp_path,
                                                         monkeypatch):

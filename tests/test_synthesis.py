@@ -389,3 +389,13 @@ class TestConfigValidation:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             SynthesisConfig(iterations=-1)
+
+    @pytest.mark.parametrize("size", [-4, 24])
+    def test_bad_size_rejected_before_the_noise_draw(self, rng, monkeypatch, size):
+        target = pss.extract_pss(rng.standard_normal((32, 32)) * 20 + 100, PssParams(2, 2, 3))
+        draws, unit_noise = [], synthesis._unit_noise
+        monkeypatch.setattr(synthesis, "_unit_noise",
+                            lambda cfg: draws.append(1) or unit_noise(cfg))
+        with pytest.raises(ValueError, match=f"image side must be a power of two, got {size}"):
+            synthesis.synthesize(target, SynthesisConfig(iterations=1, size=size))
+        assert draws == []
