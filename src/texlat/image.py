@@ -59,12 +59,10 @@ def _load_pgm(buf: bytes, path) -> np.ndarray:
         except ValueError as exc:
             raise FormatError(f"unsupported format in {path}: bad ASCII sample") from exc
     else:  # P5: a single whitespace byte separates header and raster
-        pos += 1
-        if maxval < 256:
-            raw = np.frombuffer(buf, dtype=np.uint8, count=-1, offset=pos)
-        else:
-            raw = np.frombuffer(buf[pos:], dtype=">u2")
-        data = raw[: width * height].astype(np.float64)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        raster = buf[pos + 1:pos + 1 + width * height * dtype.itemsize]
+        data = np.frombuffer(raster, dtype=dtype, count=len(raster) // dtype.itemsize)
+        data = data.astype(np.float64)
     if data.size != width * height:
         raise FormatError(f"unsupported format in {path}: truncated pixel data")
     if maxval > 255:

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pyramid
-from .pyramid import PyramidParams, _crop, _fft, _ifft
+from .pyramid import PyramidParams, _crop, _ifft, _irfft, _rfft
 
 VAR_EPS = 1e-12  # below this population variance, normalized stats are 0
 
@@ -241,10 +241,10 @@ def _corr_weights(vara, oka, varb, okb, rho, g):
 
 
 def _level_plan(size, n_sc, n_or):
-    """(crop, acorr_power rows, corr_recon rows) of each level 0..N.
+    """(crop, lag rows, Gram rows) of each level 0..N.
 
     Level L < N holds the scale-(L+1) band and scale transfers, level N the
-    low-pass ones; all are 0 outside the central size >> L crop.
+    low-pass ones; `TransferStack` keeps level L's transfers on its size >> L crop.
     """
     for lev in range(n_sc + 1):
         q = (size - (size >> lev)) // 2
@@ -324,13 +324,12 @@ def _forward(img, params: PssParams):
 
     cc = _Cache()
     cc.params, cc.size, cc.stack, cc.img = params, size, stack, a
-    cc.spec = spec = _fft(a)
+    cc.spec = spec = _rfft(a)
     # power spectrum of the centered image: every quadratic group is a
     # weighted sum over it (Wiener-Khinchin), so no filtered image is formed
     power = spec.real ** 2 + spec.imag ** 2
     power[dc, dc] = 0.0
-    cc.bands = [np.stack([stack.band_grid(spec, n + 1, k) for k in range(n_or)])
-                for n in range(n_sc)]
+    cc.bands = [stack.band_grid(spec, n + 1) for n in range(n_sc)]
     cc.mags = [np.abs(b) for b in cc.bands]
 
     values = []
@@ -340,21 +339,21 @@ def _forward(img, params: PssParams):
 
     cc.aux2 = []
     for t in (*stack.scale_recon, stack.low_recon):
-        s, k, aux = _skew_kurt(_ifft(t * spec).real)
+        s, k, aux = _skew_kurt(_irfft(t * _crop(spec, t.shape[0]), size))
         values += [s, k]
         cc.aux2.append(aux)
 
     # C3 + C4 lag maps of the power-weighted transfers and the C6 + C7
     # covariances (the Gram block "levels <= L by level L"), each on crop L
     cc.lag_basis = cos, sin = _lag_basis(size, m)
-    lag = np.empty((len(stack.acorr_power), m, m))
-    cov = np.empty((len(stack.corr_recon),) * 2)
-    for crop, rows, lev in _level_plan(size, n_sc, n_or):
+    lag = np.empty((n_sc * n_or + n_sc + 1, m, m))
+    cov = np.empty(((n_sc + 1) * n_or,) * 2)
+    for i, (crop, rows, lev) in enumerate(_level_plan(size, n_sc, n_or)):
         pw = power[crop, crop]
-        weighted = stack.acorr_power[rows, crop, crop] * pw
+        weighted = stack.acorr_power[i] * pw
         cs, sn = cos[:, crop], sin[:, crop]
         lag[rows] = (cs @ weighted @ cs.T - sn @ weighted @ sn.T) / npix
-        t = stack.corr_recon[:lev.stop, crop, crop].reshape(lev.stop, -1)
+        t = stack.corr_recon[i].reshape(lev.stop, -1)
         cov[:lev.stop, lev] = (t * pw.ravel()) @ t[lev].T / npix ** 2
         cov[lev, :lev.stop] = cov[:lev.stop, lev].T
 
@@ -370,7 +369,7 @@ def _forward(img, params: PssParams):
     # C5: magnitude correlations within each scale. By Parseval each
     # covariance is an inner product of two grids' spectra; the zeroed DC
     # bin removes each grid's mean
-    cc.mag_spec, cc.mag_var, cc.rho5 = [_fft(mg) for mg in cc.mags], [], []
+    cc.mag_spec, cc.mag_var, cc.rho5 = [_rfft(mg) for mg in cc.mags], [], []
     for n, ms in enumerate(cc.mag_spec):
         side = size >> n
         ms[:, side // 2, side // 2] = 0.0
@@ -409,8 +408,9 @@ def _forward(img, params: PssParams):
                 values += cc.cross[sa, sb].T.ravel().tolist()
 
     # C9: a filtered image's mean is its transfer's DC gain times the input mean
-    cc.dc_gain = np.append(stack.corr_recon[:n_sc * n_or, dc, dc],
-                           [stack.low_recon[dc, dc], stack.high_recon[dc, dc]])
+    mid = lambda t: t[..., t.shape[-1] // 2, t.shape[-1] // 2]
+    cc.dc_gain = np.append([mid(t[-n_or:]) for t in stack.corr_recon[:n_sc]],
+                           [mid(stack.low_recon), mid(stack.high_recon)])
     values += (cc.dc_gain * (spec[dc, dc].real / npix)).tolist()
 
     values.append(np.sum(stack.high_recon ** 2 * power) / npix ** 2)
@@ -457,14 +457,14 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     mix, da, db = _corr_weights(cc.var20, cc.ok20, cc.var20, cc.ok20, cc.rho20, g20)
     mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
     weight = g[9][0] * stack.high_recon ** 2
-    for crop, rows, lev in _level_plan(size, n_sc, n_or):
+    for i, (crop, rows, lev) in enumerate(_level_plan(size, n_sc, n_or)):
         cs, sn = cos[:, crop], sin[:, crop]
         kernel = cs.T @ gl[rows] @ cs - sn.T @ gl[rows] @ sn - g0[rows]
-        part = np.einsum("jyx,jyx->yx", stack.acorr_power[rows, crop, crop], kernel)
+        part = np.einsum("jyx,jyx->yx", stack.acorr_power[i], kernel)
         # sum(mix_ij t_i t_j) over the pairs whose coarser level is L
         coef = mix[:lev.stop, lev] + mix[lev, :lev.stop].T
         coef[lev] = mix[lev, lev]
-        t = stack.corr_recon[:lev.stop, crop, crop].reshape(lev.stop, -1)
+        t = stack.corr_recon[i].reshape(lev.stop, -1)
         part += ((coef.T @ t) * t[lev]).sum(axis=0).reshape(part.shape)
         weight[crop, crop] += part
     weight[dc, dc] = 0.0
@@ -473,7 +473,8 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     # C2: per-level moments through the level transfers
     g2 = g[1].reshape(n_sc + 1, 2)
     for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g2):
-        spec_cot += t * _fft(_skew_kurt_backward(aux, gs, gk))
+        inner = _crop(spec_cot, t.shape[0])
+        inner += t * _rfft(_skew_kurt_backward(aux, gs, gk), t.shape[0])
 
     # cross-scale C8 entries: the forward's spectral inner products,
     # differentiated; each grid's spectral cotangent is summed first
@@ -502,11 +503,10 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)
-        unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
+        unit = np.where(mg > VAR_EPS, 4.0 ** n / np.maximum(mg, VAR_EPS), 0.0)
+        cot = np.fft.fft2(_ifft(cot_spec[n]).real * unit * cc.bands[n])
         inner = _crop(spec_cot, side)
-        for k in range(n_or):
-            cot = _ifft(cot_spec[n][k]).real * unit[k]
-            inner += _crop(stack.band_analysis[n][k], side) * _fft(cot * cc.bands[n][k])
+        inner += np.fft.fftshift((stack.band_analysis[n] * cot).sum(axis=0))
 
     grad += _ifft(spec_cot).real
     if not np.isfinite(grad).all():

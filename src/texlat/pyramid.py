@@ -3,11 +3,11 @@
 A square power-of-two image is split by a radial high-pass/low-pass pair
 at full resolution, then decomposed into K oriented complex band-pass
 grids per scale, scale n+1 sampled at side/2^n. `TransferStack` holds every
-filter as one full-resolution transfer (the product of the per-level
-filters), so each band is that transfer times the image spectrum followed
-by one central crop. The filters form a tight frame, so synthesis is a
-weighted adjoint of analysis and `collapse` inverts `build_pyramid` to
-floating-point precision.
+filter as one composite transfer (the product of the per-level filters),
+kept only on the central crop outside which it is 0, so each band is that
+transfer times the same crop of the image spectrum. The filters form a
+tight frame, so synthesis is a weighted adjoint of analysis and `collapse`
+inverts `build_pyramid` to floating-point precision.
 
 Transfer functions (polar frequency coordinates, r in radians):
 
@@ -26,10 +26,13 @@ The high-pass constant branches are the unique continuous completion of
 the cosine segment; they make H(r)^2 + (L(r)/2)^2 = 1 hold identically,
 which is what perfect reconstruction rests on.
 
-Conventions: forward FFT unscaled, inverse scaled by 1/(s*s); all filter
-grids are stored in fftshift layout; reaching scale n+1 crops the central
-1/2^n of the spectrum (with a 1/4^n scale so it equals ideal decimation of
-band-limited content); the DC sample routes entirely to the low-pass path.
+Conventions: forward FFT unscaled, inverse scaled by 1/(s*s); spectra are
+centered (fftshift layout), real images transformed by rfft2/irfft2 in that
+layout; reaching scale n+1 crops the central 1/2^n of the spectrum (with a
+1/4^n scale so it equals ideal decimation of band-limited content); each
+filter grid is stored on its level's crop, the band analysis transfers in
+natural order with that scale folded in; the DC sample routes entirely to
+the low-pass path.
 """
 
 from __future__ import annotations
@@ -134,24 +137,42 @@ def _validate_geometry(size: int, n_scales: int) -> None:
 
 
 def _crop(spec: np.ndarray, small: int) -> np.ndarray:
-    """Central small x small block of an fftshifted spectrum."""
-    q = (spec.shape[0] - small) // 2
-    return spec[q:q + small, q:q + small]
+    """Central small x small block of an fftshifted spectrum, or of each of a stack."""
+    q = (spec.shape[-1] - small) // 2
+    return spec[..., q:q + small, q:q + small]
 
 
 def _pad(spec: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad an fftshifted spectrum about its center to size x size."""
-    small = spec.shape[0]
+    """Zero-pad an fftshifted spectrum (or each of a stack) about its center to size x size."""
+    small = spec.shape[-1]
     if small == size:
         return spec
-    out = np.zeros((size, size), dtype=spec.dtype)
+    out = np.zeros(spec.shape[:-2] + (size, size), dtype=spec.dtype)
     _crop(out, small)[...] = spec
     return out
 
 
-def _fft(img: np.ndarray) -> np.ndarray:
-    """Centered 2-D spectrum of an image, or of each image of a stack."""
-    return np.fft.fftshift(np.fft.fft2(img), axes=(-2, -1))
+def _rfft(img: np.ndarray, side: int | None = None) -> np.ndarray:
+    """Central side x side block (default: all) of fftshift(fft2(img)) of a real image or stack."""
+    size = img.shape[-1]
+    h = (side or size) // 2
+    r = np.fft.rfft2(img)
+    out = np.empty(img.shape[:-2] + (2 * h, 2 * h), dtype=complex)
+    out[..., h:, h:] = r[..., :h, :h]
+    out[..., :h, h:] = r[..., size - h:, :h]
+    np.conjugate(r[..., h::-1, h:0:-1], out=out[..., :h + 1, :h])
+    np.conjugate(r[..., :size - h:-1, h:0:-1], out=out[..., h + 1:, :h])
+    return out
+
+
+def _irfft(spec: np.ndarray, size: int) -> np.ndarray:
+    """Real size x size image whose centered spectrum is `spec` zero-padded about its
+    center; only kx >= 0 is read, so that must be Hermitian (a crop's first row/column 0)."""
+    h = spec.shape[-1] // 2
+    half = np.zeros(spec.shape[:-2] + (size, size // 2 + 1), dtype=complex)
+    half[..., :h, :h + 1] = spec[..., h:, np.r_[h:2 * h, 0]]
+    half[..., size - h:, :h + 1] = spec[..., :h, np.r_[h:2 * h, 0]]
+    return np.fft.irfft2(half, s=(size, size))
 
 
 def _ifft(spec: np.ndarray) -> np.ndarray:
@@ -164,11 +185,10 @@ def build_pyramid(img, params: PyramidParams) -> Pyramid:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"pyramid input must be square, got shape {a.shape}")
     stack = transfer_stack(a.shape[0], params.n_scales, params.n_orientations)
-    spec = _fft(a)
-    bands = [[stack.band_grid(spec, n, k) for k in range(params.n_orientations)]
-             for n in range(1, params.n_scales + 1)]
+    spec = _rfft(a)
+    bands = [list(stack.band_grid(spec, n)) for n in range(1, params.n_scales + 1)]
     return Pyramid(params, a.shape[0], bands, stack.low_grid(spec),
-                   _ifft(stack.highpass0 * spec).real)
+                   _irfft(stack.highpass0 * spec, a.shape[0]))
 
 
 def collapse(pyr: Pyramid) -> np.ndarray:
@@ -223,14 +243,25 @@ def reconstruct_highpass(pyr: Pyramid) -> np.ndarray:
 
 
 class TransferStack:
-    """Full-resolution composite transfer functions for one decomposition.
+    """Composite transfer functions for one decomposition, each on its crop.
 
     Every real image the statistics consume is the source image passed
-    through one circular filter with a real transfer; this object holds
-    those transfers plus the single-pass analysis transfers that produce
-    the complex band coefficients. Because the transfers are real, each
-    filtering map is self-adjoint, which is what the analytic gradient
+    through one circular filter with a real, even transfer; this object
+    holds those transfers plus the single-pass analysis transfers that
+    produce the complex band coefficients. Because the transfers are real,
+    each filtering map is self-adjoint, which is what the analytic gradient
     of the statistics relies on.
+
+    The transfers of level L (scale L+1; the low-pass at L = N) are 0
+    outside the central (size >> L) square of the spectrum and on its first
+    row and column, so each is kept only on that crop, contiguous:
+    `band_analysis[n]` is scale n+1's (K, side, side) analysis in natural
+    order with its 0.25^n decimation folded in; `scale_recon[n]`,
+    `low_recon` and `low_analysis` are centered crops; `acorr_power[L]`
+    holds level L's squared band, then scale (or low-pass) round trips,
+    and `corr_recon[L]` the band round trips (at L = N the oriented
+    low-pass split) of every level <= L on crop L, L's own K rows last.
+    `highpass0` and `high_recon` are full size and centered.
     """
 
     def __init__(self, size: int, params: PyramidParams):
@@ -238,72 +269,63 @@ class TransferStack:
         self.size = size
         self.params = params
         n_sc, n_or = params.n_scales, params.n_orientations
-        r, th = _freq_grid(size)
-        self.highpass0 = radial_highpass(r / 2.0)
+        r_full, th_full = _freq_grid(size)
+        self.highpass0 = radial_highpass(r_full / 2.0)
         self.high_recon = self.highpass0 ** 2
-        self.angular = [angular_gain(k, n_or, th) for k in range(n_or)]
+
+        g_full = np.stack([angular_gain(k, n_or, th_full) for k in range(n_or)])
         # G_k at the negated frequency, taken by index so it folds exactly
         # the way Hermitian completion of the half-plane bands does
-        negated = [np.roll(g[::-1, ::-1], 1, axis=(0, 1)) for g in self.angular]
+        gn_full = np.roll(g_full[:, ::-1, ::-1], 1, axis=(1, 2))
 
-        chain = radial_lowpass(r / 2.0) / 2.0  # L0, then each scale's low-pass
-        self.band_analysis = []  # [n][k], single analysis pass
-        band_recon = []          # analysis+synthesis round trips, (n, k) order
-        self.scale_recon = []    # [n], sum of the scale's band round trips
+        chain = radial_lowpass(r_full / 2.0) / 2.0  # L0, then each scale's low-pass
+        self.band_analysis, self.scale_recon, own, self.acorr_power = [], [], [], []
         for n in range(n_sc):
+            side = size >> n
+            r, chain, g, gn = (_crop(a, side) for a in (r_full, chain, g_full, gn_full))
             h = radial_highpass(r * 2.0 ** n)
-            self.band_analysis.append([chain * h * g for g in self.angular])
-            band_recon += [chain ** 2 * h ** 2 * (g ** 2 + gn ** 2)
-                           for g, gn in zip(self.angular, negated)]
+            self.band_analysis.append(
+                np.fft.ifftshift(chain * h * g, axes=(1, 2)) * 0.25 ** n)
             self.scale_recon.append(chain ** 2 * h ** 2)
+            own.append(self.scale_recon[n] * (g ** 2 + gn ** 2))  # band round trips
+            self.acorr_power.append(np.concatenate([own[n], self.scale_recon[n][None]]) ** 2)
             chain = chain * (radial_lowpass(r * 2.0 ** n) / 2.0)
-        self.low_analysis = chain
-        self.low_recon = chain ** 2
+        side = size >> n_sc
+        self.low_analysis = _crop(chain, side).copy()
+        self.low_recon = self.low_analysis ** 2
+        self.acorr_power.append(self.low_recon[None] ** 2)
         # the real part of an image filtered by G_k applies (G_k(w) + G_k(-w))/2
-        oriented = [(g + gn) / 2.0 * self.low_recon for g, gn in zip(self.angular, negated)]
-        # stacked transfers of the quadratic statistics: C6/C7 correlate the
-        # band and oriented low-pass reconstructions, C3/C4 autocorrelate the
-        # band, scale and low-pass reconstructions (squared: power gains)
-        self.corr_recon = np.stack(band_recon + oriented)
-        self.acorr_power = np.stack(band_recon + self.scale_recon + [self.low_recon]) ** 2
+        own.append(_crop(g_full + gn_full, side) / 2.0 * self.low_recon)
+        self.corr_recon = [np.concatenate([_crop(t, size >> lev) for t in own[:lev + 1]])
+                           for lev in range(n_sc + 1)]
         # instances are cached and shared; freeze every grid
-        for arr in (self.highpass0, self.high_recon,
-                    self.low_analysis, self.low_recon, *self.angular,
-                    *self.scale_recon, self.corr_recon, self.acorr_power,
-                    *(t for lv in self.band_analysis for t in lv)):
+        for arr in (self.highpass0, self.high_recon, self.low_analysis, self.low_recon,
+                    *self.band_analysis, *self.scale_recon, *self.acorr_power, *self.corr_recon):
             arr.flags.writeable = False
 
     def filter_image(self, img: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-        """Apply a real transfer; also the adjoint of the same map."""
-        return _ifft(transfer * _fft(img)).real
+        """Apply a real, even transfer or its level crop; also the adjoint of the same map."""
+        return _irfft(transfer * _rfft(img, transfer.shape[-1]), img.shape[-1])
 
-    def band_grid(self, spec: np.ndarray, scale: int, orientation: int) -> np.ndarray:
-        """Complex band coefficients at the scale's own resolution.
-
-        `spec` is the fftshifted spectrum of the source image; nesting of
-        the per-level central crops collapses into one crop here.
-        """
-        n = scale - 1
-        side = self.size >> n
-        z = _crop(self.band_analysis[n][orientation], side) * _crop(spec, side)
-        z *= 0.25 ** n
-        return _ifft(z)
+    def band_grid(self, spec: np.ndarray, scale: int) -> np.ndarray:
+        """(K, side, side) complex band coefficients at the scale's own resolution,
+        from the fftshifted source spectrum: the nested crops collapse into one."""
+        side = self.size >> (scale - 1)
+        return np.fft.ifft2(self.band_analysis[scale - 1] * np.fft.ifftshift(_crop(spec, side)))
 
     def band_grid_adjoint(self, cot: np.ndarray, scale: int, orientation: int) -> np.ndarray:
-        """Adjoint of band_grid for a complex cotangent grid."""
-        spec = _pad(_fft(cot), self.size)
-        return _ifft(self.band_analysis[scale - 1][orientation] * spec).real
+        """Adjoint of one orientation of band_grid for a complex cotangent grid."""
+        z = self.band_analysis[scale - 1][orientation] * np.fft.fft2(cot)
+        return 4.0 ** (scale - 1) * _ifft(_pad(np.fft.fftshift(z), self.size)).real
 
     def low_grid(self, spec: np.ndarray) -> np.ndarray:
         """Real low-pass residual at the coarsest resolution, one crop as in band_grid."""
-        n = self.params.n_scales
-        z = _crop(self.low_analysis * spec, self.size >> n)
-        z *= 0.25 ** n
-        return _ifft(z).real
+        side = self.low_analysis.shape[0]
+        return 0.25 ** self.params.n_scales * _irfft(self.low_analysis * _crop(spec, side), side)
 
     def low_grid_adjoint(self, cot: np.ndarray) -> np.ndarray:
         """Adjoint of low_grid for a real cotangent grid."""
-        return _ifft(self.low_analysis * _pad(_fft(cot), self.size)).real
+        return _irfft(self.low_analysis * _rfft(cot), self.size)
 
 
 @lru_cache(maxsize=16)

@@ -3,6 +3,18 @@
 import numpy as np
 import pytest
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    ComplexWarning = np.ComplexWarning
+
+
+def pytest_configure(config):
+    # a complex spectrum written into a real array must fail, not drop its
+    # imaginary part
+    config.addinivalue_line(
+        "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__name__}")
+
 
 def grating(size, fy, fx, phase=0.0, contrast=40.0, mean=127.0):
     """Sinusoidal grating with integer cycle counts per image."""

@@ -34,6 +34,18 @@ class TestPgmIO:
         with pytest.raises(image.FormatError, match="truncated"):
             image.load_image(p)
 
+    def test_sixteen_bit_raster_with_trailing_byte_loads(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n4 4\n65535\n" + bytes(range(32)) + b"\n")
+        expect = np.frombuffer(bytes(range(32)), dtype=">u2").reshape(4, 4) * (255.0 / 65535)
+        np.testing.assert_array_equal(image.load_image(p), expect)
+
+    def test_header_without_raster_names_the_file(self, tmp_path):
+        p = tmp_path / "bare.pgm"
+        p.write_bytes(b"P5\n4 4\n255")
+        with pytest.raises(image.FormatError, match="bare.pgm: truncated pixel data"):
+            image.load_image(p)
+
     def test_unknown_magic_rejected(self, tmp_path):
         p = tmp_path / "t.xyz"
         p.write_bytes(b"XY nothing")

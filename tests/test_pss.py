@@ -154,12 +154,21 @@ def upsample(img, size):
 
 def spatial_reference(img, n_sc, n_or, m):
     """C3 to C10 computed from filtered images and magnitude grids in space."""
-    stack = pyramid.transfer_stack(img.shape[0], n_sc, n_or)
-    bands = [stack.filter_image(img, t) for t in stack.corr_recon[:n_sc * n_or]]
-    levels = [stack.filter_image(img, t) for t in (*stack.scale_recon, stack.low_recon)]
-    # filter_image keeps the real part of the one-sided oriented low-pass
-    oriented = [stack.filter_image(img, g * stack.low_recon) for g in stack.angular]
-    high = stack.filter_image(img, stack.high_recon)
+    size = img.shape[0]
+    stack = pyramid.transfer_stack(size, n_sc, n_or)
+
+    def filt(transfer):
+        """Complex FFT filtering by a zero-padded transfer crop; keeps the real part."""
+        spec = np.fft.ifftshift(pyramid._pad(transfer, size)) * np.fft.fft2(img)
+        return np.fft.ifft2(spec).real
+
+    bands = [filt(t) for level in stack.corr_recon[:n_sc] for t in level[-n_or:]]
+    levels = [filt(t) for t in (*stack.scale_recon, stack.low_recon)]
+    # the real part of the one-sided oriented low-pass
+    _, theta = pyramid._freq_grid(size)
+    oriented = [filt(pyramid.angular_gain(k, n_or, theta) * pyramid._pad(stack.low_recon, size))
+                for k in range(n_or)]
+    high = filt(stack.high_recon)
     h = (m - 1) // 2
 
     def acorr(im):

@@ -207,9 +207,9 @@ class TestCovariance:
 class TestTransferStack:
     def test_transfers_tile_to_identity(self):
         stack = P.transfer_stack(64, 3, 4)
-        total = stack.high_recon + stack.low_recon
-        for t in stack.corr_recon[:3 * 4]:
-            total = total + t
+        total = stack.high_recon + P._pad(stack.low_recon, 64)
+        for level in stack.corr_recon[:3]:
+            total = total + P._pad(level[-4:], 64).sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_band_grid_matches_recursive_build(self, rng):
@@ -219,7 +219,7 @@ class TestTransferStack:
         spec = np.fft.fftshift(np.fft.fft2(img))
         for n in range(1, 4):
             for k in range(4):
-                np.testing.assert_allclose(stack.band_grid(spec, n, k),
+                np.testing.assert_allclose(stack.band_grid(spec, n)[k],
                                            bands[n - 1][k], atol=1e-10)
         np.testing.assert_allclose(stack.low_grid(spec), low, atol=1e-10)
 
@@ -227,12 +227,13 @@ class TestTransferStack:
         img = rng.standard_normal((32, 32))
         pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
         stack = P.transfer_stack(32, 2, 2)
-        np.testing.assert_allclose(
-            stack.filter_image(img, stack.corr_recon[2]),  # scale 2, orientation 0
-            P.reconstruct_band(pyr, 2, 0), atol=1e-10)
-        np.testing.assert_allclose(
-            stack.filter_image(img, stack.low_recon),
-            P.reconstruct_lowpass(pyr), atol=1e-10)
+        band = stack.corr_recon[1][2]  # scale 2, orientation 0, on its 16 px crop
+        for t in (band, P._pad(band, 32)):
+            np.testing.assert_allclose(stack.filter_image(img, t),
+                                       P.reconstruct_band(pyr, 2, 0), atol=1e-10)
+        for t in (stack.low_recon, P._pad(stack.low_recon, 32)):
+            np.testing.assert_allclose(stack.filter_image(img, t),
+                                       P.reconstruct_lowpass(pyr), atol=1e-10)
 
     def test_band_grid_adjoint_is_true_adjoint(self, rng):
         # <w, A x> must equal <A* w, x> for the real-linear pairing
@@ -242,10 +243,88 @@ class TestTransferStack:
         for scale in (1, 2):
             w = (rng.standard_normal((32 >> (scale - 1),) * 2)
                  + 1j * rng.standard_normal((32 >> (scale - 1),) * 2))
-            ax = stack.band_grid(spec, scale, 1)
+            ax = stack.band_grid(spec, scale)[1]
             lhs = np.sum(w.real * ax.real + w.imag * ax.imag)
             rhs = np.sum(stack.band_grid_adjoint(w, scale, 1) * x)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
         w = rng.standard_normal((8, 8))
         lhs = np.sum(w * stack.low_grid(spec))
         np.testing.assert_allclose(lhs, np.sum(stack.low_grid_adjoint(w) * x), rtol=1e-12)
+
+
+
+def crop_pairs(stack, size, n_scales, n_orientations):
+    """Per level: (side, [(stored crop, full-resolution formula)], own rows).
+
+    The formulas come from radial_*/angular_gain alone; G_k at the negated
+    frequency is taken by index, as Hermitian completion of the half-plane
+    bands folds it. `own` is the level's band (or oriented low-pass) rows.
+    """
+    r, th = P._freq_grid(size)
+    g = np.stack([P.angular_gain(k, n_orientations, th) for k in range(n_orientations)])
+    gn = np.roll(g[:, ::-1, ::-1], 1, axis=(1, 2))
+    chain = P.radial_lowpass(r / 2.0) / 2.0
+    out = []
+    for n in range(n_scales):
+        h = P.radial_highpass(r * 2.0 ** n)
+        scale = chain ** 2 * h ** 2
+        own = scale * (g ** 2 + gn ** 2)
+        out.append((size >> n, [
+            (np.fft.fftshift(stack.band_analysis[n], axes=(1, 2)), chain * h * g * 0.25 ** n),
+            (stack.scale_recon[n], scale),
+            (stack.acorr_power[n], np.concatenate([own, scale[None]]) ** 2)], own))
+        chain = chain * (P.radial_lowpass(r * 2.0 ** n) / 2.0)
+    low = chain ** 2
+    out.append((size >> n_scales, [(stack.low_analysis, chain), (stack.low_recon, low),
+                                   (stack.acorr_power[n_scales], low[None] ** 2)],
+                (g + gn) / 2.0 * low))
+    return out
+
+
+CROP_GEOMETRIES = [(size, n, k) for size in (8, 16, 32, 64, 128, 256)
+                   for n, k in [(1, 1), (1, 4), (2, 3), (3, 4), (4, 4), (4, 6)]
+                   if size >> n >= P.MIN_COARSE_SIZE]
+
+
+@pytest.mark.parametrize("size,n_scales,n_orientations", CROP_GEOMETRIES)
+def test_cropped_transfers_pad_to_full_formula_zero_outside_crop(size, n_scales,
+                                                                 n_orientations):
+    stack = P.TransferStack(size, P.PyramidParams(n_scales, n_orientations))
+    levels = crop_pairs(stack, size, n_scales, n_orientations)
+    k = n_orientations
+    for lev, (side, pairs, own) in enumerate(levels):
+        q = (size - side) // 2
+        inner = np.zeros((size, size), dtype=bool)
+        inner[q + 1:q + side, q + 1:q + side] = True  # the crop minus its first row and column
+        for crop, full in pairs + [(stack.corr_recon[lev][-k:], own)]:
+            assert crop.shape[-1] == side and crop.flags.c_contiguous
+            assert np.array_equal(P._pad(crop, size), full)
+            assert not full[..., ~inner].any()
+        # the finer levels' rows of the Gram stack are cropped to this level
+        for j, (_, _, finer) in enumerate(levels[:lev]):
+            assert np.array_equal(stack.corr_recon[lev][j * k:(j + 1) * k], P._crop(finer, side))
+
+
+def nyquist_images(size, rng):
+    """Noise plus patterns with all their energy on the Nyquist row, column and corner."""
+    y, x = np.mgrid[:size, :size]
+    return np.stack([rng.standard_normal((size, size)), (-1.0) ** x, (-1.0) ** y,
+                     (-1.0) ** (x + y) + 0.5 * (-1.0) ** x * np.cos(2 * np.pi * y / size)])
+
+
+@pytest.mark.parametrize("size", [8, 16, 64, 256])
+def test_real_fft_helpers_match_centered_complex_fft(rng, size):
+    imgs = nyquist_images(size, rng)
+    ref = np.fft.fftshift(np.fft.fft2(imgs), axes=(-2, -1))
+    tol = 1e-12 * np.abs(ref).max()
+    for x, full in [(imgs, ref), (imgs[0], ref[0]), (imgs[3], ref[3])]:
+        assert np.abs(P._rfft(x) - full).max() <= tol
+        for side in (size // 2, 4):
+            assert np.abs(P._rfft(x, side) - P._crop(full, side)).max() <= tol
+        assert np.abs(P._irfft(full, size) - x).max() <= 1e-12 * np.abs(x).max()
+    # a Hermitian crop whose first row and column are 0, zero-padded to size
+    side = size // 2
+    crop = P._crop(ref, side).copy()
+    crop[:, 0, :] = crop[:, :, 0] = 0.0
+    expect = np.fft.ifft2(np.fft.ifftshift(P._pad(crop, size), axes=(-2, -1))).real
+    assert np.abs(P._irfft(crop, size) - expect).max() <= 1e-12 * np.abs(expect).max()
