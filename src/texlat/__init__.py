@@ -10,8 +10,7 @@ source.
 """
 
 from .image import FormatError, load_image, normalize, resize_box, save_image
-from .pyramid import (Pyramid, PyramidParams, build_pyramid, collapse,
-                      reconstruct_band, reconstruct_highpass, reconstruct_lowpass)
+from .pyramid import Pyramid, PyramidParams, build_pyramid, collapse
 from .pss import (NumericError, PssLayout, PssParams, PssVector, column_names,
                   extract_pss, load_vector, pss_dim, save_vector)
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FormatError", "load_image", "save_image", "normalize", "resize_box",
     "PyramidParams", "Pyramid", "build_pyramid", "collapse",
-    "reconstruct_band", "reconstruct_lowpass", "reconstruct_highpass",
     "PssParams", "PssLayout", "PssVector", "NumericError", "pss_dim",
     "extract_pss", "column_names", "save_vector", "load_vector",
     "PpcaModel", "ppca_fit", "ppca_encode", "ppca_decode",

@@ -99,7 +99,7 @@ class FeatureArchive:
 
     @property
     def layout(self) -> PssLayout:
-        return PssLayout.from_params(self.params)
+        return PssLayout(self.params)
 
 
 def _record_dtype(dim: int) -> np.dtype:

@@ -35,7 +35,7 @@ class HppcaModel:
     intermediate_threshold: float
 
     @property
-    def params(self) -> PssParams | None:
+    def params(self) -> PssParams:
         return self.layout.params
 
     @property
@@ -81,8 +81,7 @@ def fit_hierarchy(matrix: np.ndarray, threshold: float, output_dim: int,
             mu, eigvals, vecs = ppca._sample_eig(block)
         except np.linalg.LinAlgError as exc:
             r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-            col = layout.group_slice(gi).start + c
-            name = column_names(layout)[col] if layout.params else f"{col}"
+            name = column_names(layout)[layout.group_slice(gi).start + c]
             raise ValueError(f"group C{gi}: {exc}; its largest-magnitude entry is "
                              f"{float(block[r, c])}, record {r}, column {name}") from exc
         if eigvals.sum() <= 0:
@@ -168,8 +167,6 @@ def _unpack_block(buf: bytes, pos: int) -> tuple[PpcaModel, int]:
 
 def save_model(model: HppcaModel, path) -> None:
     """Write the full two-stage model; load_model restores it bit-exactly."""
-    if model.params is None:
-        raise ValueError("only parameter-derived layouts are serializable")
     blocks = b"".join(_pack_block(m) for m in [*model.group_models, model.final_model])
     Path(path).write_bytes(pack_container(
         MODEL_MAGIC, MODEL_VERSION, model.params, "dII",
@@ -179,7 +176,7 @@ def save_model(model: HppcaModel, path) -> None:
 def load_model(path) -> HppcaModel:
     buf, params, (thr, d, dim), pos = read_container(path, MODEL_MAGIC, MODEL_VERSION,
                                                      "dII", "model file")
-    layout = PssLayout.from_params(params)
+    layout = PssLayout(params)
     if layout.dim != dim:
         raise ValueError("corrupt container: dimension header mismatch")
     groups = []

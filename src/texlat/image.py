@@ -54,10 +54,12 @@ def _load_pgm(buf: bytes, path) -> np.ndarray:
         raise FormatError(f"unsupported format in {path}: bad PGM dimensions/maxval")
 
     if magic == b"P2":
-        try:
-            data = np.array(buf[pos:].split()[: width * height], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"unsupported format in {path}: bad ASCII sample") from exc
+        tokens = buf[pos:].split()[: width * height]
+        bad = next((t for t in tokens if not t.isdigit()), None)
+        if bad is not None:
+            raise FormatError(f"unsupported format in {path}: sample "
+                              f"{bad.decode(errors='replace')} is not an integer in 0..{maxval}")
+        data = np.array(tokens, dtype=np.float64)
     else:  # P5: a single whitespace byte separates header and raster
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         raster = buf[pos + 1:pos + 1 + width * height * dtype.itemsize]
@@ -65,6 +67,9 @@ def _load_pgm(buf: bytes, path) -> np.ndarray:
         data = data.astype(np.float64)
     if data.size != width * height:
         raise FormatError(f"unsupported format in {path}: truncated pixel data")
+    if data.max() > maxval:
+        raise FormatError(f"unsupported format in {path}: sample {data.max():g} "
+                          f"is not an integer in 0..{maxval}")
     if maxval > 255:
         data *= 255.0 / maxval
     return data.reshape(height, width)

@@ -92,18 +92,11 @@ def group_sizes(params: PssParams) -> tuple[int, ...]:
 class PssLayout:
     """Index map of the ten contiguous group slices in the flat vector."""
 
-    sizes: tuple[int, ...]
-    params: PssParams | None = None
+    params: PssParams
 
-    def __post_init__(self):
-        if len(self.sizes) != 10 or any(s < 1 for s in self.sizes):
-            raise ValueError("layout needs 10 positive group sizes")
-        if self.params is not None and group_sizes(self.params) != self.sizes:
-            raise ValueError("group sizes do not match the parameters")
-
-    @classmethod
-    def from_params(cls, params: PssParams) -> "PssLayout":
-        return cls(group_sizes(params), params)
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return group_sizes(self.params)
 
     @property
     def dim(self) -> int:
@@ -131,7 +124,7 @@ class PssVector:
                 f"values have length {self.values.size}, layout says {self.layout.dim}")
 
     @property
-    def params(self) -> PssParams | None:
+    def params(self) -> PssParams:
         return self.layout.params
 
     def group(self, group: int) -> np.ndarray:
@@ -150,8 +143,6 @@ def _level_tag(level: int, n_scales: int) -> str:
 def column_names(layout: PssLayout) -> list[str]:
     """Stable per-coordinate names, e.g. C3.s2.o1.dy-3.dx2."""
     p = layout.params
-    if p is None:
-        raise ValueError("column names need a parameter-derived layout")
     n, k, m = p.n_scales, p.n_orientations, p.neighborhood
     h = (m - 1) // 2
     lags = [(dy, dx) for dy in range(-h, h + 1) for dx in range(-h, h + 1)]
@@ -425,7 +416,7 @@ def _forward(img, params: PssParams):
 def extract_pss(img, params: PssParams = PssParams()) -> PssVector:
     """Compute the full statistic vector of one image."""
     values, _ = _forward(img, params)
-    return PssVector(values, PssLayout.from_params(params))
+    return PssVector(values, PssLayout(params))
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +426,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. input pixels of sum(dvalues * statistics)."""
     params, size, stack = cc.params, cc.size, cc.stack
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
-    layout = PssLayout.from_params(params)
+    layout = PssLayout(params)
     g = [dvalues[layout.group_slice(i)] for i in range(1, 11)]
     npix, dc = size * size, size // 2
 
@@ -503,10 +494,9 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)
-        unit = np.where(mg > VAR_EPS, 4.0 ** n / np.maximum(mg, VAR_EPS), 0.0)
-        cot = np.fft.fft2(_ifft(cot_spec[n]).real * unit * cc.bands[n])
+        unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
         inner = _crop(spec_cot, side)
-        inner += np.fft.fftshift((stack.band_analysis[n] * cot).sum(axis=0))
+        inner += stack.band_grid_adjoint(_ifft(cot_spec[n]).real * unit * cc.bands[n], n + 1)
 
     grad += _ifft(spec_cot).real
     if not np.isfinite(grad).all():
@@ -545,8 +535,6 @@ def read_container(path, magic: bytes, version: int, kind: str, what: str):
 
 def save_vector(v: PssVector, path) -> None:
     """Write one vector as a small self-describing binary file."""
-    if v.params is None:
-        raise ValueError("only parameter-derived layouts are serializable")
     Path(path).write_bytes(pack_container(VECTOR_MAGIC, VECTOR_VERSION, v.params, "I",
                                           [v.values.size], v.values.astype("<f8").tobytes()))
 
@@ -557,4 +545,4 @@ def load_vector(path) -> PssVector:
     if dim != pss_dim(params) or len(buf) != pos + 8 * dim:
         raise ValueError(f"corrupt container: {path} has inconsistent sizes")
     values = np.frombuffer(buf, dtype="<f8", offset=pos).astype(np.float64)
-    return PssVector(values, PssLayout.from_params(params))
+    return PssVector(values, PssLayout(params))

@@ -6,8 +6,9 @@ grids per scale, scale n+1 sampled at side/2^n. `TransferStack` holds every
 filter as one composite transfer (the product of the per-level filters),
 kept only on the central crop outside which it is 0, so each band is that
 transfer times the same crop of the image spectrum. The filters form a
-tight frame, so synthesis is a weighted adjoint of analysis and `collapse`
-inverts `build_pyramid` to floating-point precision.
+tight frame, so synthesis is a weighted adjoint of analysis: `collapse`
+sums the weighted adjoints of every band and residual as one spectrum and
+so inverts `build_pyramid` to floating-point precision.
 
 Transfer functions (polar frequency coordinates, r in radians):
 
@@ -142,16 +143,6 @@ def _crop(spec: np.ndarray, small: int) -> np.ndarray:
     return spec[..., q:q + small, q:q + small]
 
 
-def _pad(spec: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad an fftshifted spectrum (or each of a stack) about its center to size x size."""
-    small = spec.shape[-1]
-    if small == size:
-        return spec
-    out = np.zeros(spec.shape[:-2] + (size, size), dtype=spec.dtype)
-    _crop(out, small)[...] = spec
-    return out
-
-
 def _rfft(img: np.ndarray, side: int | None = None) -> np.ndarray:
     """Central side x side block (default: all) of fftshift(fft2(img)) of a real image or stack."""
     size = img.shape[-1]
@@ -192,54 +183,36 @@ def build_pyramid(img, params: PyramidParams) -> Pyramid:
 
 
 def collapse(pyr: Pyramid) -> np.ndarray:
-    """Exact synthesis back to the source resolution."""
-    params = pyr.params
-    expect = pyr.size >> params.n_scales
-    if pyr.lowpass_residual.shape != (expect, expect):
-        raise ValueError(
-            f"low-pass residual shape {pyr.lowpass_residual.shape} does not "
-            f"match {expect}x{expect}")
-    out = reconstruct_lowpass(pyr) + reconstruct_highpass(pyr)
-    for n in range(params.n_scales):
-        level = pyr.size >> n
-        for k, band in enumerate(pyr.bands[n]):
-            if band.shape != (level, level):
-                raise ValueError(
-                    f"band ({n + 1},{k}) shape {band.shape} does not match "
-                    f"{level}x{level}")
-            out += reconstruct_band(pyr, n + 1, k)
-    return out
+    """Exact synthesis back to the source resolution.
 
-
-def reconstruct_band(pyr: Pyramid, scale: int, orientation: int) -> np.ndarray:
-    """Back-project one band through the synthesis path, others zeroed.
-
-    `scale` is 1-based (1 = finest); returns a real full-resolution image.
-    Synthesis is the analysis adjoint weighted by 2 (the adjoint keeps the
-    real part, half of the Hermitian completion of the half-plane band)
-    and by 4^(scale-1) (undoing the decimation scale of band_grid).
+    Synthesis is the analysis adjoint weighted by 4^n for scale n+1 and by
+    4^N for the low-pass (undoing the decimation scales), and by 2 more
+    for the bands (the adjoint keeps the real part, half of the Hermitian
+    completion of the half-plane band); the weighted adjoints add up in
+    one centered spectrum that one inverse FFT brings back to pixels.
     """
-    params = pyr.params
-    if not 1 <= scale <= params.n_scales:
-        raise IndexError(f"scale {scale} out of range 1..{params.n_scales}")
-    if not 0 <= orientation < params.n_orientations:
-        raise IndexError(
-            f"orientation {orientation} out of range 0..{params.n_orientations - 1}")
-    stack = transfer_stack(pyr.size, params.n_scales, params.n_orientations)
-    band = pyr.bands[scale - 1][orientation]
-    return 2.0 * 4.0 ** (scale - 1) * stack.band_grid_adjoint(band, scale, orientation)
-
-
-def reconstruct_lowpass(pyr: Pyramid) -> np.ndarray:
-    """Back-project the low-pass residual to full resolution."""
-    stack = transfer_stack(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
-    return 4.0 ** pyr.params.n_scales * stack.low_grid_adjoint(pyr.lowpass_residual)
-
-
-def reconstruct_highpass(pyr: Pyramid) -> np.ndarray:
-    """Back-project the high-pass residual to full resolution."""
-    stack = transfer_stack(pyr.size, pyr.params.n_scales, pyr.params.n_orientations)
-    return stack.filter_image(pyr.highpass_residual, stack.highpass0)
+    params, size = pyr.params, pyr.size
+    n_sc, n_or = params.n_scales, params.n_orientations
+    if len(pyr.bands) != n_sc:
+        raise ValueError(f"pyramid has {len(pyr.bands)} scales, its parameters say {n_sc}")
+    for shape, expect, what in [(pyr.highpass_residual.shape, size, "high-pass residual"),
+                                (pyr.lowpass_residual.shape, size >> n_sc, "low-pass residual")]:
+        if shape != (expect, expect):
+            raise ValueError(f"{what} shape {shape} does not match {expect}x{expect}")
+    for n, level in enumerate(pyr.bands):
+        if len(level) != n_or:
+            raise ValueError(f"scale {n + 1} has {len(level)} bands, expected {n_or}")
+        for k, band in enumerate(level):
+            if band.shape != (size >> n,) * 2:
+                raise ValueError(f"band ({n + 1},{k}) shape {band.shape} does not match "
+                                 f"{size >> n}x{size >> n}")
+    stack = transfer_stack(size, n_sc, n_or)
+    spec = stack.highpass0 * _rfft(pyr.highpass_residual)
+    _crop(spec, size >> n_sc)[...] += 4.0 ** n_sc * stack.low_grid_adjoint(pyr.lowpass_residual)
+    for n, level in enumerate(pyr.bands):
+        adjoint = stack.band_grid_adjoint(np.stack(level), n + 1)
+        _crop(spec, size >> n)[...] += 2.0 * 4.0 ** n * adjoint
+    return _ifft(spec).real
 
 
 class TransferStack:
@@ -261,7 +234,9 @@ class TransferStack:
     holds level L's squared band, then scale (or low-pass) round trips,
     and `corr_recon[L]` the band round trips (at L = N the oriented
     low-pass split) of every level <= L on crop L, L's own K rows last.
-    `highpass0` and `high_recon` are full size and centered.
+    `highpass0` and `high_recon` are full size and centered. The analysis
+    adjoints return centered spectrum crops, so `collapse` and the statistic
+    gradient both add them into one spectrum before one inverse FFT.
     """
 
     def __init__(self, size: int, params: PyramidParams):
@@ -303,20 +278,18 @@ class TransferStack:
                     *self.band_analysis, *self.scale_recon, *self.acorr_power, *self.corr_recon):
             arr.flags.writeable = False
 
-    def filter_image(self, img: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-        """Apply a real, even transfer or its level crop; also the adjoint of the same map."""
-        return _irfft(transfer * _rfft(img, transfer.shape[-1]), img.shape[-1])
-
     def band_grid(self, spec: np.ndarray, scale: int) -> np.ndarray:
         """(K, side, side) complex band coefficients at the scale's own resolution,
         from the fftshifted source spectrum: the nested crops collapse into one."""
         side = self.size >> (scale - 1)
         return np.fft.ifft2(self.band_analysis[scale - 1] * np.fft.ifftshift(_crop(spec, side)))
 
-    def band_grid_adjoint(self, cot: np.ndarray, scale: int, orientation: int) -> np.ndarray:
-        """Adjoint of one orientation of band_grid for a complex cotangent grid."""
-        z = self.band_analysis[scale - 1][orientation] * np.fft.fft2(cot)
-        return 4.0 ** (scale - 1) * _ifft(_pad(np.fft.fftshift(z), self.size)).real
+    def band_grid_adjoint(self, cot: np.ndarray, scale: int) -> np.ndarray:
+        """Adjoint of band_grid for (K, side, side) complex cotangent grids: the
+        centered side x side spectrum they add to the source's (whose inverse
+        FFT's real part is the pixel cotangent)."""
+        z = (self.band_analysis[scale - 1] * np.fft.fft2(cot)).sum(axis=0)
+        return 4.0 ** (scale - 1) * np.fft.fftshift(z)
 
     def low_grid(self, spec: np.ndarray) -> np.ndarray:
         """Real low-pass residual at the coarsest resolution, one crop as in band_grid."""
@@ -324,8 +297,8 @@ class TransferStack:
         return 0.25 ** self.params.n_scales * _irfft(self.low_analysis * _crop(spec, side), side)
 
     def low_grid_adjoint(self, cot: np.ndarray) -> np.ndarray:
-        """Adjoint of low_grid for a real cotangent grid."""
-        return _irfft(self.low_analysis * _rfft(cot), self.size)
+        """Adjoint of low_grid for a real cotangent grid, as a centered spectrum crop."""
+        return self.low_analysis * _rfft(cot)
 
 
 @lru_cache(maxsize=16)

@@ -88,8 +88,6 @@ def pss_distance(a: PssVector, b: PssVector, weights=None) -> float:
 
 def pss_gradient(img, target: PssVector, weights=None) -> np.ndarray:
     """Pixel gradient of pss_distance(statistics(img), target)."""
-    if target.params is None:
-        raise ValueError("target must carry a parameter-derived layout")
     _, cache, cot = _objective(img, target, _coordinate_weights(target, weights))
     return pss_mod._backward(cache, cot)
 
@@ -150,8 +148,6 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     seeds give bit-identical output. Raises NumericError when the
     target or the starting distance is not finite.
     """
-    if target.params is None:
-        raise ValueError("target must carry a parameter-derived layout")
     if init_image is None:  # before the draw, which takes any side
         pss_mod.check_size(cfg.size, target.params)
     if not np.isfinite(target.values).all():
@@ -319,8 +315,6 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     index, (image_id, img) = task
     a = np.asarray(img, dtype=np.float64)
     params = models[0].params
-    if params is None:
-        raise ValueError("model must carry a parameter-derived layout")
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
     terms = SourceTerms(a, patch_size)

@@ -14,6 +14,18 @@ def pytest_configure(config):
     # imaginary part
     config.addinivalue_line(
         "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__name__}")
+    # numpy's divide, invalid and overflow warnings flag a NaN or inf that a
+    # spectral sum produced silently
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
+def pad(spec, size):
+    """Zero-pad an fftshifted spectrum (or each of a stack) about its center to size x size."""
+    small = spec.shape[-1]
+    q = (size - small) // 2
+    out = np.zeros(spec.shape[:-2] + (size, size), dtype=spec.dtype)
+    out[..., q:q + small, q:q + small] = spec
+    return out
 
 
 def grating(size, fy, fx, phase=0.0, contrast=40.0, mean=127.0):

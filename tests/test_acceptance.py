@@ -28,7 +28,7 @@ def test_criterion_1_dimension_accounting():
 
 
 def test_criterion_2_reduction_rate_arithmetic():
-    layout = PssLayout.from_params(PssParams(4, 4, 7))
+    layout = PssLayout(PssParams(4, 4, 7))
 
     def rate(d):
         final = ppca.PpcaModel(np.zeros(d), np.zeros((d, d)), 0.0, np.zeros(d), d)
@@ -208,7 +208,7 @@ def test_criterion_7_tss_matches_brute_force():
 def test_criterion_8_hppca_monotonicity():
     params = PssParams(3, 4, 7)
     corpus = synthetic_corpus(64, 32)
-    layout = PssLayout.from_params(params)
+    layout = PssLayout(params)
     feats = np.stack([pss.extract_pss(img, params).values for _, _, img in corpus])
 
     dims = [10, 50, 100, 200]

@@ -585,3 +585,11 @@ class TestInfoAndExitCodes:
         assert "band_s1_o0.pgm" in files
         assert "lowpass_residual.pgm" in files
         assert len(files) == 6
+
+    def test_non_integer_sample_exits_two_naming_the_file(self, tmp_path, capsys):
+        src = tmp_path / "nan.pgm"
+        src.write_text("P2 32 32 255 " + "7 " * 1023 + "nan")
+        out = tmp_path / "bands"
+        assert run("bands", src, "-o", out, "--scales", "2", "--orients", "2") == 2
+        assert "nan.pgm" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

@@ -25,14 +25,14 @@ def _archive(path):
 
 def _model(path):
     rng = np.random.default_rng(0)
-    layout = PssLayout.from_params(PARAMS)
+    layout = PssLayout(PARAMS)
     x = rng.standard_normal((12, layout.dim))
     hppca.save_model(hppca.fit_hierarchy(x, 0.9, 2, layout=layout), path)
 
 
 def _vector(path):
     values = np.random.default_rng(0).standard_normal(pss.pss_dim(PARAMS))
-    pss.save_vector(pss.PssVector(values, PssLayout.from_params(PARAMS)), path)
+    pss.save_vector(pss.PssVector(values, PssLayout(PARAMS)), path)
 
 
 CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, hppca.load_model),
@@ -147,7 +147,7 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
         return PpcaModel(rng.standard_normal(dim), rng.standard_normal((dim, q)), noise_var,
                          data.draw(arrays(np.float64, dim, elements=st.floats(width=64))), q)
 
-    layout = PssLayout.from_params(params)
+    layout = PssLayout(params)
     groups = [block(size, data.draw(st.integers(1, min(size, 3))), nv)
               for size, nv in zip(layout.sizes, noise)]
     inter = sum(g.q for g in groups)
@@ -168,7 +168,7 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
 @settings(max_examples=30, deadline=None)
 @given(params=_params, data=st.data())
 def test_vector_round_trip_property(tmp_path_factory, params, data):
-    layout = PssLayout.from_params(params)
+    layout = PssLayout(params)
     values = data.draw(arrays(np.float64, layout.dim, elements=st.floats(width=64)))
     path = tmp_path_factory.mktemp("pssv") / "v.pssv"
     pss.save_vector(pss.PssVector(values, layout), path)

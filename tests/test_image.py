@@ -46,6 +46,21 @@ class TestPgmIO:
         with pytest.raises(image.FormatError, match="bare.pgm: truncated pixel data"):
             image.load_image(p)
 
+    @pytest.mark.parametrize("sample", ["nan", "inf", "1e999", "-5", "+5", "300", "1.5"])
+    def test_ascii_sample_outside_maxval_names_the_file(self, tmp_path, sample):
+        p = tmp_path / "bad.pgm"
+        p.write_text(f"P2 2 1 255 7 {sample}")
+        with pytest.raises(image.FormatError,
+                           match=r"bad.pgm: sample .* is not an integer in 0\.\.255"):
+            image.load_image(p)
+
+    def test_binary_sample_above_maxval_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(b"P5\n2 1\n100\n" + bytes([7, 250]))
+        with pytest.raises(image.FormatError,
+                           match=r"bad.pgm: sample 250 is not an integer in 0\.\.100"):
+            image.load_image(p)
+
     def test_unknown_magic_rejected(self, tmp_path):
         p = tmp_path / "t.xyz"
         p.write_bytes(b"XY nothing")

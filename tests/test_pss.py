@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pad
 from texlat import pss, pyramid
 from texlat.pss import PssLayout, PssParams, PssVector
 
@@ -58,16 +59,14 @@ class TestLayout:
         with pytest.raises(IndexError):
             v.group(0)
 
-    def test_custom_layout_checks_sizes(self):
-        lay = PssLayout((5, 4, 6, 8, 3, 4, 5, 6, 4, 3))
-        assert lay.dim == 48
-        with pytest.raises(ValueError):
-            PssLayout((5, 4))
+    def test_vector_length_must_match_layout(self):
+        lay = PssLayout(PssParams(1, 1, 3))
+        assert lay.sizes == pss.group_sizes(PssParams(1, 1, 3)) and lay.dim == 47
         with pytest.raises(ValueError):
             PssVector(np.zeros(10), lay)
 
     def test_column_names_match_layout(self):
-        lay = PssLayout.from_params(PssParams(4, 4, 7))
+        lay = PssLayout(PssParams(4, 4, 7))
         names = pss.column_names(lay)
         assert len(names) == 1784
         assert names[0] == "C1.mean"
@@ -159,14 +158,14 @@ def spatial_reference(img, n_sc, n_or, m):
 
     def filt(transfer):
         """Complex FFT filtering by a zero-padded transfer crop; keeps the real part."""
-        spec = np.fft.ifftshift(pyramid._pad(transfer, size)) * np.fft.fft2(img)
+        spec = np.fft.ifftshift(pad(transfer, size)) * np.fft.fft2(img)
         return np.fft.ifft2(spec).real
 
     bands = [filt(t) for level in stack.corr_recon[:n_sc] for t in level[-n_or:]]
     levels = [filt(t) for t in (*stack.scale_recon, stack.low_recon)]
     # the real part of the one-sided oriented low-pass
     _, theta = pyramid._freq_grid(size)
-    oriented = [filt(pyramid.angular_gain(k, n_or, theta) * pyramid._pad(stack.low_recon, size))
+    oriented = [filt(pyramid.angular_gain(k, n_or, theta) * pad(stack.low_recon, size))
                 for k in range(n_or)]
     high = filt(stack.high_recon)
     h = (m - 1) // 2

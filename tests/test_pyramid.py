@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import pad
 from texlat import pyramid as P
 
 
@@ -23,6 +24,16 @@ def recursive_analysis(img, n_scales, n_orientations):
         q = cur.shape[0] // 4
         cur = (P.radial_lowpass(r) / 2.0 * cur)[q:3 * q, q:3 * q] * 0.25
     return bands, np.fft.ifft2(np.fft.ifftshift(cur)).real
+
+
+def isolate(pyr, band=None, low=False, high=False):
+    """Copy of pyr with every band and residual zeroed but the (0-based
+    scale, orientation) `band` and the residuals flagged."""
+    keep = lambda a, flag: a if flag else np.zeros_like(a)
+    bands = [[keep(b, (n, k) == band) for k, b in enumerate(level)]
+             for n, level in enumerate(pyr.bands)]
+    return P.Pyramid(pyr.params, pyr.size, bands, keep(pyr.lowpass_residual, low),
+                     keep(pyr.highpass_residual, high))
 
 
 class TestRadialFilters:
@@ -142,10 +153,20 @@ class TestPerfectReconstruction:
             P.collapse(mix), 2.0 * P.collapse(p1) + 3.0 * P.collapse(p2), atol=1e-10)
 
     def test_tampered_sizes_rejected(self, rng):
-        pyr = P.build_pyramid(rng.standard_normal((32, 32)), P.PyramidParams(2, 2))
-        pyr.bands[1][0] = pyr.bands[1][0][:4, :4]
-        with pytest.raises(ValueError):
-            P.collapse(pyr)
+        img = rng.standard_normal((32, 32))
+        for tamper, reason in [
+                (lambda p: p.bands[1].__setitem__(0, p.bands[1][0][:4, :4]),
+                 r"band \(2,0\) shape"),
+                (lambda p: p.bands.pop(), "has 1 scales"),
+                (lambda p: p.bands[0].pop(), "scale 1 has 1 bands"),
+                (lambda p: setattr(p, "highpass_residual", p.highpass_residual[:16]),
+                 "high-pass residual shape"),
+                (lambda p: setattr(p, "lowpass_residual", p.lowpass_residual[:4, :4]),
+                 "low-pass residual shape")]:
+            pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
+            tamper(pyr)
+            with pytest.raises(ValueError, match=reason):
+                P.collapse(pyr)
 
 
 class TestBandReconstruction:
@@ -153,16 +174,16 @@ class TestBandReconstruction:
         img = rng.standard_normal((64, 64)) * 30 + 100
         params = P.PyramidParams(3, 4)
         pyr = P.build_pyramid(img, params)
-        total = P.reconstruct_lowpass(pyr) + P.reconstruct_highpass(pyr)
-        for n in range(1, 4):
+        total = P.collapse(isolate(pyr, low=True)) + P.collapse(isolate(pyr, high=True))
+        for n in range(3):
             for k in range(4):
-                total = total + P.reconstruct_band(pyr, n, k)
+                total = total + P.collapse(isolate(pyr, band=(n, k)))
         assert np.linalg.norm(total - img) / np.linalg.norm(img) <= 1e-8
 
     def test_zeroed_band_reconstructs_to_zero(self, rng):
         pyr = P.build_pyramid(rng.standard_normal((32, 32)), P.PyramidParams(2, 2))
         pyr.bands[0][1] = np.zeros_like(pyr.bands[0][1])
-        assert np.abs(P.reconstruct_band(pyr, 1, 1)).max() == 0.0
+        assert np.abs(P.collapse(isolate(pyr, band=(0, 1)))).max() == 0.0
 
     def test_single_orientation_passband_sinusoid_recovered(self):
         # with one orientation the band gain is exactly 1 on its tiling,
@@ -171,15 +192,8 @@ class TestBandReconstruction:
         x = np.arange(size)
         img = np.tile(np.cos(np.pi / 2 * x), (size, 1))
         pyr = P.build_pyramid(img, P.PyramidParams(1, 1))
-        rec = P.reconstruct_band(pyr, 1, 0)
+        rec = P.collapse(isolate(pyr, band=(0, 0)))
         assert np.linalg.norm(rec - img) / np.linalg.norm(img) <= 1e-6
-
-    def test_index_errors(self, rng):
-        pyr = P.build_pyramid(rng.standard_normal((32, 32)), P.PyramidParams(2, 2))
-        with pytest.raises(IndexError):
-            P.reconstruct_band(pyr, 3, 0)
-        with pytest.raises(IndexError):
-            P.reconstruct_band(pyr, 1, 2)
 
 
 class TestCovariance:
@@ -207,9 +221,9 @@ class TestCovariance:
 class TestTransferStack:
     def test_transfers_tile_to_identity(self):
         stack = P.transfer_stack(64, 3, 4)
-        total = stack.high_recon + P._pad(stack.low_recon, 64)
+        total = stack.high_recon + pad(stack.low_recon, 64)
         for level in stack.corr_recon[:3]:
-            total = total + P._pad(level[-4:], 64).sum(axis=0)
+            total = total + pad(level[-4:], 64).sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_band_grid_matches_recursive_build(self, rng):
@@ -223,33 +237,38 @@ class TestTransferStack:
                                            bands[n - 1][k], atol=1e-10)
         np.testing.assert_allclose(stack.low_grid(spec), low, atol=1e-10)
 
-    def test_filter_image_matches_band_reconstruction(self, rng):
+    def test_recon_transfers_match_isolated_collapse(self, rng):
+        # the statistic's round-trip transfers filter the image the way
+        # analysis, then synthesis of one band or residual, does
         img = rng.standard_normal((32, 32))
         pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
         stack = P.transfer_stack(32, 2, 2)
-        band = stack.corr_recon[1][2]  # scale 2, orientation 0, on its 16 px crop
-        for t in (band, P._pad(band, 32)):
-            np.testing.assert_allclose(stack.filter_image(img, t),
-                                       P.reconstruct_band(pyr, 2, 0), atol=1e-10)
-        for t in (stack.low_recon, P._pad(stack.low_recon, 32)):
-            np.testing.assert_allclose(stack.filter_image(img, t),
-                                       P.reconstruct_lowpass(pyr), atol=1e-10)
+        spec = np.fft.fftshift(np.fft.fft2(img))
+        # corr_recon[1][2] is scale 2, orientation 0, on its 16 px crop
+        for t, part in [(stack.corr_recon[1][2], isolate(pyr, band=(1, 0))),
+                        (stack.low_recon, isolate(pyr, low=True))]:
+            np.testing.assert_allclose(P.collapse(part), P._ifft(pad(t, 32) * spec).real,
+                                       atol=1e-10)
 
     def test_band_grid_adjoint_is_true_adjoint(self, rng):
         # <w, A x> must equal <A* w, x> for the real-linear pairing
         stack = P.transfer_stack(32, 2, 2)
         x = rng.standard_normal((32, 32))
         spec = np.fft.fftshift(np.fft.fft2(x))
+        # the adjoints return spectra; the pixel cotangent is the real part
+        # of their zero-padded inverse FFT
+        back = lambda s: P._ifft(pad(s, 32)).real
         for scale in (1, 2):
-            w = (rng.standard_normal((32 >> (scale - 1),) * 2)
-                 + 1j * rng.standard_normal((32 >> (scale - 1),) * 2))
-            ax = stack.band_grid(spec, scale)[1]
+            shape = (2,) + (32 >> (scale - 1),) * 2  # all K orientations at once
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ax = stack.band_grid(spec, scale)
             lhs = np.sum(w.real * ax.real + w.imag * ax.imag)
-            rhs = np.sum(stack.band_grid_adjoint(w, scale, 1) * x)
+            rhs = np.sum(back(stack.band_grid_adjoint(w, scale)) * x)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
         w = rng.standard_normal((8, 8))
         lhs = np.sum(w * stack.low_grid(spec))
-        np.testing.assert_allclose(lhs, np.sum(stack.low_grid_adjoint(w) * x), rtol=1e-12)
+        np.testing.assert_allclose(lhs, np.sum(back(stack.low_grid_adjoint(w)) * x),
+                                   rtol=1e-12)
 
 
 
@@ -298,7 +317,7 @@ def test_cropped_transfers_pad_to_full_formula_zero_outside_crop(size, n_scales,
         inner[q + 1:q + side, q + 1:q + side] = True  # the crop minus its first row and column
         for crop, full in pairs + [(stack.corr_recon[lev][-k:], own)]:
             assert crop.shape[-1] == side and crop.flags.c_contiguous
-            assert np.array_equal(P._pad(crop, size), full)
+            assert np.array_equal(pad(crop, size), full)
             assert not full[..., ~inner].any()
         # the finer levels' rows of the Gram stack are cropped to this level
         for j, (_, _, finer) in enumerate(levels[:lev]):
@@ -326,5 +345,5 @@ def test_real_fft_helpers_match_centered_complex_fft(rng, size):
     side = size // 2
     crop = P._crop(ref, side).copy()
     crop[:, 0, :] = crop[:, :, 0] = 0.0
-    expect = np.fft.ifft2(np.fft.ifftshift(P._pad(crop, size), axes=(-2, -1))).real
+    expect = np.fft.ifft2(np.fft.ifftshift(pad(crop, size), axes=(-2, -1))).real
     assert np.abs(P._irfft(crop, size) - expect).max() <= 1e-12 * np.abs(expect).max()
