@@ -280,12 +280,13 @@ def cmd_eval(args) -> int:
         arch = _load_archive(args.archive)
         if arch.layout != model.layout:
             raise ValueError("archive parameters do not match the model")
+        spectra = hppca.GroupSpectra(arch.features, arch.layout)  # shared by every refit
         for d in args.sweep_dim or []:
             sweeps.append((str(d), hppca.fit_hierarchy(
-                arch.features, model.intermediate_threshold, d, layout=arch.layout)))
+                spectra, model.intermediate_threshold, d, layout=arch.layout)))
         for r in args.sweep_ccr or []:
             sweeps.append((_fmt(r), hppca.fit_hierarchy(
-                arch.features, r, model.output_dim, layout=arch.layout)))
+                spectra, r, model.output_dim, layout=arch.layout)))
     else:
         sweeps.append((str(model.output_dim), model))
 

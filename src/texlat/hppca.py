@@ -7,13 +7,16 @@ concatenated into an intermediate vector; stage two fits one more PPCA
 on those intermediates to produce the final low-dimensional code.
 
 Groups with no variance keep a single always-zero latent so the
-intermediate layout stays static across refits and serialization.
+intermediate layout stays static across refits and serialization. The
+group eigendecompositions (rank-sized; loadings are zero-padded only up to
+q) depend on neither threshold nor code length, so a GroupSpectra keeps them.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,39 +58,52 @@ class HppcaModel:
         return tuple(m.q for m in self.group_models)
 
 
-def fit_hierarchy(matrix: np.ndarray, threshold: float, output_dim: int,
+class GroupSpectra:
+    """A matrix's ten group eigendecompositions, made at the first fit and then kept."""
+
+    def __init__(self, matrix, layout: PssLayout):
+        x = np.asarray(matrix, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != layout.dim:
+            raise ValueError(f"data shape {x.shape} does not match layout dim {layout.dim}")
+        if x.shape[0] < 2:
+            raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
+        self.layout, self.blocks = layout, [x[:, layout.group_slice(gi)] for gi in range(1, 11)]
+
+    @cached_property
+    def groups(self) -> list[tuple]:
+        out = []
+        for gi, block in enumerate(self.blocks, 1):
+            try:
+                out.append(ppca._sample_eig(block))
+            except np.linalg.LinAlgError as exc:
+                r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+                name = column_names(self.layout)[self.layout.group_slice(gi).start + c]
+                raise ValueError(f"group C{gi}: {exc}; its largest-magnitude entry is "
+                                 f"{float(block[r, c])}, record {r}, column {name}") from exc
+        return out
+
+
+def fit_hierarchy(matrix, threshold: float, output_dim: int,
                   layout: PssLayout) -> HppcaModel:
     """Fit the grouped stage and the final stage.
 
-    `matrix` holds one statistic vector of `layout` per row, `threshold`
-    is the cumulative-contribution ratio used for every group, and
-    `output_dim` the final code length. An output_dim above the achieved
-    intermediate dimension is an error.
+    `matrix` holds one statistic vector of `layout` per row, or is their
+    GroupSpectra; `threshold` is the cumulative-contribution ratio used
+    for every group, and `output_dim` the final code length. An
+    output_dim above the achieved intermediate dimension is an error.
     """
-    x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layout.dim:
-        raise ValueError(f"data shape {x.shape} does not match layout dim {layout.dim}")
-    if x.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
+    spectra = matrix if isinstance(matrix, GroupSpectra) else GroupSpectra(matrix, layout)
+    if spectra.layout != layout:
+        raise ValueError(f"group spectra are for {spectra.layout.params}, not {layout.params}")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if output_dim < 1:
         raise ValueError(f"output dimension must be >= 1, got {output_dim}")
 
     groups, latents = [], []
-    for gi in range(1, 11):
-        block = x[:, layout.group_slice(gi)]
-        try:
-            mu, eigvals, vecs = ppca._sample_eig(block)
-        except np.linalg.LinAlgError as exc:
-            r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-            name = column_names(layout)[layout.group_slice(gi).start + c]
-            raise ValueError(f"group C{gi}: {exc}; its largest-magnitude entry is "
-                             f"{float(block[r, c])}, record {r}, column {name}") from exc
-        if eigvals.sum() <= 0:
-            q = 1  # degenerate group: one latent that is always zero
-        else:
-            q = ppca.choose_dim(eigvals, threshold)
+    for (mu, eigvals, vecs), block in zip(spectra.groups, spectra.blocks):
+        # a degenerate group keeps one latent that is always zero
+        q = ppca.choose_dim(eigvals, threshold) if eigvals.sum() > 0 else 1
         model = ppca._model_from_eig(mu, eigvals, vecs, q)
         groups.append(model)
         latents.append(ppca.encode(model, block))

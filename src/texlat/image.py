@@ -46,8 +46,9 @@ def _pgm_tokens(buf: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
 def _load_pgm(buf: bytes, path) -> np.ndarray:
     magic = buf[:2]
     try:
-        (w_tok, h_tok, max_tok), pos = _pgm_tokens(buf, 3, 2)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        tokens, pos = _pgm_tokens(buf, 3, 2)
+        # ASCII digits only, as for P2 samples: int() would take a sign or "_"
+        width, height, maxval = (int(t) for t in tokens if t.isdigit())
     except (FormatError, ValueError) as exc:
         raise FormatError(f"unsupported format in {path}: bad PGM header") from exc
     if width < 1 or height < 1 or maxval < 1 or maxval > 65535:

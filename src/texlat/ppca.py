@@ -36,12 +36,13 @@ class PpcaModel:
 
 
 def _sample_eig(data: np.ndarray):
-    """Mean, full eigenvalue spectrum and eigenvectors of the covariance.
+    """Mean, full eigenvalue spectrum and leading eigenvectors of the covariance.
 
-    Eigenvalues come back non-increasing, padded with zeros past the
-    data rank; eigenvector columns past the rank are zero (their
-    loadings vanish anyway). Both routes treat eigenvalues at or below
-    max(lambda_0, 1) n eps as rounding noise of a zero, so a group that
+    Eigenvalues come back non-increasing and full length, padded with
+    zeros past the data rank. Eigenvectors are rank-sized, min(n, dim)
+    columns, and _model_from_eig zero-pads the loadings only up to q.
+    Both routes treat eigenvalues at or below max(lambda_0, 1) n eps as
+    rounding noise of a zero (with a zero eigenvector), so a group that
     is constant up to rounding has an all-zero spectrum. Signs are fixed
     so each eigenvector's largest-magnitude entry is positive.
     """
@@ -53,22 +54,18 @@ def _sample_eig(data: np.ndarray):
     order = np.argsort(w)[::-1]
     vals, v = np.maximum(w[order], 0.0), v[:, order]
     keep = vals > max(vals[0], 1.0) * n * np.finfo(float).eps
-    eigvals, vecs = np.zeros(dim), np.zeros((dim, dim))
+    eigvals, vecs = np.zeros(dim), np.zeros((dim, vals.size))
     eigvals[:vals.size][keep] = vals[keep]
-    if gram:
-        vecs[:, :n][:, keep] = centered.T @ (v[:, keep] / np.sqrt(n * vals[keep]))
-    else:
-        vecs[:, keep] = v[:, keep]
-    signs = np.where(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)] < 0, -1.0, 1.0)
+    vecs[:, keep] = centered.T @ (v[:, keep] / np.sqrt(n * vals[keep])) if gram else v[:, keep]
+    signs = np.where(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.size)] < 0, -1.0, 1.0)
     return mu, eigvals, vecs * signs
 
 
 def _model_from_eig(mu, eigvals, vecs, q: int) -> PpcaModel:
-    dim = mu.size
-    sigma2 = float(eigvals[q:].mean()) if q < dim else 0.0
-    sigma2 = max(sigma2, 0.0)
+    sigma2 = max(float(eigvals[q:].mean()), 0.0) if q < mu.size else 0.0
     scale = np.sqrt(np.maximum(eigvals[:q] - sigma2, 0.0))
-    return PpcaModel(mu, vecs[:, :q] * scale, sigma2, eigvals, q)
+    w = np.pad(vecs[:, :q], ((0, 0), (0, max(q - vecs.shape[1], 0))))
+    return PpcaModel(mu, w * scale, sigma2, eigvals, q)
 
 
 def fit(data, q: int) -> PpcaModel:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from texlat import cli, hppca, image, pss, synthesis
+from texlat import cli, hppca, image, ppca, pss, synthesis
 from texlat.archive import load_archive, save_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
@@ -447,6 +447,21 @@ class TestEval:
             assert row[0] == str(d)
             assert [float(x) for x in row[1:]] == [float(x) for x in expect]
 
+    @pytest.mark.parametrize("sweep, calls", [(["--sweep-dim", "1,2,3"], 13),
+                                              (["--sweep-ccr", "0.999,0.9999"], 12)],
+                             ids=["dim", "ccr"])
+    def test_sweep_decomposes_each_group_once(self, trained, tmp_path, monkeypatch,
+                                              sweep, calls):
+        root, arch, model_path = trained
+        shapes = []
+        sample_eig = ppca._sample_eig
+        monkeypatch.setattr(ppca, "_sample_eig",
+                            lambda x: shapes.append(x.shape) or sample_eig(x))
+        assert run("eval", model_path, root, "-o", tmp_path / "r.csv", "--size", "32",
+                   "--archive", arch, *sweep, "--iterations", "0", "--patch-size", "9") == 0
+        # the ten groups once for the sweep, then the final stage once per value
+        assert len(shapes) == calls
+
     def test_ccr_sweep_rows_are_the_refit_models_means(self, trained, tmp_path):
         root, arch_path, model_path = trained
         report = tmp_path / "r.csv"
@@ -585,6 +600,14 @@ class TestInfoAndExitCodes:
         assert "band_s1_o0.pgm" in files
         assert "lowpass_residual.pgm" in files
         assert len(files) == 6
+
+    def test_signed_header_exits_two_naming_the_file(self, tmp_path, capsys):
+        src = tmp_path / "signed.pgm"
+        src.write_text("P2 32 32 +255 " + "7 " * 1024)
+        out = tmp_path / "bands"
+        assert run("bands", src, "-o", out, "--scales", "2", "--orients", "2") == 2
+        assert "signed.pgm: bad PGM header" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_non_integer_sample_exits_two_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "nan.pgm"

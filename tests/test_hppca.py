@@ -74,6 +74,44 @@ class TestFitHierarchy:
             hppca.fit_hierarchy(x[:1], 0.9, 2, layout=layout)
 
 
+class TestGroupSpectra:
+    def test_reused_spectra_fit_the_same_bytes_as_the_matrix(self, small_corpus, tmp_path,
+                                                             monkeypatch):
+        layout, _, x = small_corpus
+        calls = []
+        sample_eig = ppca._sample_eig
+        monkeypatch.setattr(ppca, "_sample_eig", lambda a: calls.append(1) or sample_eig(a))
+        spectra = hppca.GroupSpectra(x, layout)
+        assert calls == []  # nothing is decomposed before a fit needs it
+        grid = [(threshold, d) for threshold in (0.9, 0.999, 1.0) for d in (1, 4, 10)]
+        for threshold, d in grid:
+            hppca.save_model(hppca.fit_hierarchy(spectra, threshold, d, layout),
+                             tmp_path / "spectra.hpca")
+            hppca.save_model(hppca.fit_hierarchy(x, threshold, d, layout),
+                             tmp_path / "matrix.hpca")
+            assert ((tmp_path / "spectra.hpca").read_bytes()
+                    == (tmp_path / "matrix.hpca").read_bytes())
+        # the matrix fits decompose all 11 stages each; the spectra only their final stage
+        assert len(calls) == 10 + len(grid) * (1 + 11)
+
+    @pytest.mark.parametrize("take", [lambda x: x[0], lambda x: x[None]],
+                             ids=["one-row", "three-d"])
+    def test_non_2d_matrix_rejected(self, small_corpus, take):
+        layout, _, x = small_corpus
+        with pytest.raises(ValueError, match=r"data shape \(.*\) does not match layout dim 142"):
+            hppca.GroupSpectra(take(x), layout)
+
+    def test_spectra_of_another_layout_rejected(self, small_corpus, rng):
+        layout, _, _ = small_corpus
+        other, other_layout = vector_matrix([pss.extract_pss(rng.standard_normal((32, 32)),
+                                                             PssParams(2, 2, 5))
+                                             for _ in range(3)])
+        spectra = hppca.GroupSpectra(other, other_layout)
+        reason = r"group spectra are for PssParams\(.*=5\), not PssParams\(.*=3\)"
+        with pytest.raises(ValueError, match=reason):
+            hppca.fit_hierarchy(spectra, 0.9, 2, layout)
+
+
 class TestEncodeDecode:
     def test_code_length_and_mean_behavior(self, small_corpus):
         layout, vecs, x = small_corpus

@@ -54,6 +54,14 @@ class TestPgmIO:
                            match=r"bad.pgm: sample .* is not an integer in 0\.\.255"):
             image.load_image(p)
 
+    @pytest.mark.parametrize("header", ["P2 1_6 1 255", "P2 16 1 +255", "P2 4 -4 255"],
+                             ids=["underscore", "plus-sign", "minus-sign"])
+    def test_header_field_that_is_not_ascii_digits_is_a_bad_header(self, tmp_path, header):
+        p = tmp_path / "bad.pgm"
+        p.write_text(header + " 7" * 16)
+        with pytest.raises(image.FormatError, match="bad.pgm: bad PGM header"):
+            image.load_image(p)
+
     def test_binary_sample_above_maxval_names_the_file(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P5\n2 1\n100\n" + bytes([7, 250]))

@@ -60,6 +60,18 @@ class TestFit:
         dense = np.sort(np.linalg.eigvalsh(centered.T @ centered / 8))[::-1]
         np.testing.assert_allclose(m.eigenvalues, np.maximum(dense, 0), atol=1e-9)
 
+    @pytest.mark.parametrize("n, dim", [(12, 40), (50, 10)], ids=["gram-route", "dense-route"])
+    def test_sample_eig_returns_rank_sized_eigenvectors(self, rng, n, dim):
+        x = rng.standard_normal((n, dim))
+        mu, eigvals, vecs = ppca._sample_eig(x)
+        assert eigvals.shape == (dim,)
+        assert vecs.shape == (dim, min(n, dim))
+        rank = min(n - 1, dim)  # centering removes one dimension
+        np.testing.assert_allclose(vecs[:, :rank].T @ vecs[:, :rank], np.eye(rank), atol=1e-12)
+        m = ppca._model_from_eig(mu, eigvals, vecs, dim)  # q past the rank: zero loadings
+        assert m.loadings.shape == (dim, dim)
+        np.testing.assert_array_equal(m.loadings[:, rank:], 0.0)
+
     def test_refit_is_bit_identical(self, rng):
         x = rng.standard_normal((20, 6))
         m1, m2 = ppca.fit(x, 3), ppca.fit(x, 3)
