@@ -11,7 +11,7 @@ source.
 
 from .image import FormatError, load_image, normalize, resize_box, save_image
 from .pyramid import Pyramid, PyramidParams, build_pyramid, collapse
-from .pss import (NumericError, PssLayout, PssParams, PssVector, column_names,
+from .pss import (NumericError, PssParams, PssVector, column_names,
                   extract_pss, load_vector, pss_dim, save_vector)
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
                    ppca_decode, encode as ppca_encode, fit as ppca_fit)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FormatError", "load_image", "save_image", "normalize", "resize_box",
     "PyramidParams", "Pyramid", "build_pyramid", "collapse",
-    "PssParams", "PssLayout", "PssVector", "NumericError", "pss_dim",
+    "PssParams", "PssVector", "NumericError", "pss_dim",
     "extract_pss", "column_names", "save_vector", "load_vector",
     "PpcaModel", "ppca_fit", "ppca_encode", "ppca_decode",
     "cumulative_contribution", "choose_dim",

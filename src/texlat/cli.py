@@ -79,7 +79,7 @@ def _load_archive(path) -> ar.FeatureArchive:
     """An archive whose records are all finite, so fits and codes are too."""
     arch = ar.load_archive(path)
     _check_finite(arch.features, lambda r, c: f"{path}: record {arch.ids[r]!r}, column "
-                                              f"{pss.column_names(arch.layout)[c]},")
+                                              f"{pss.column_names(arch.params)[c]},")
     return arch
 
 
@@ -138,8 +138,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     arch = _load_archive(args.archive)
-    model = hppca.fit_hierarchy(arch.features, args.ccr, args.dim,
-                                layout=arch.layout)
+    model = hppca.fit_hierarchy(arch.features, args.ccr, args.dim, arch.params)
     hppca.save_model(model, args.output)
     if args.spectrum_csv:
         rows = []
@@ -148,7 +147,7 @@ def cmd_train(args) -> int:
             rows += [(name, i, _fmt(lam)) for i, lam in enumerate(m.eigenvalues)]
         _write_csv(args.spectrum_csv, ["stage", "index", "eigenvalue"], rows)
     print(f"samples: {arch.features.shape[0]}")
-    print(f"statistic dimension: {model.pss_dim}")
+    print(f"statistic dimension: {pss.pss_dim(model.params)}")
     print(f"intermediate dimension: {model.intermediate_dim}")
     print(f"output dimension: {model.output_dim}")
     print(f"reduction rate: {100.0 * hppca.reduction_rate(model):.1f}%")
@@ -182,7 +181,7 @@ def cmd_encode(args) -> int:
     model = hppca.load_model(args.model)
     if len(args.inputs) == 1 and args.inputs[0].endswith(".pssa"):
         arch = _load_archive(args.inputs[0])
-        if arch.layout != model.layout:
+        if arch.params != model.params:
             raise ValueError("archive parameters do not match the model")
         ids, feats = arch.ids, arch.features
     else:
@@ -208,7 +207,7 @@ def cmd_decode(args) -> int:
     _check_finite(codes, lambda r, c: f"{args.codes}: row {r + 1}, column c{c},")
     decoded = hppca.decode_batch(model, codes)
     _check_output(decoded, ids, "decoded statistic")
-    header = ["id"] + pss.column_names(model.layout)
+    header = ["id"] + pss.column_names(model.params)
     _write_csv(args.output, header,
                [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, decoded)])
     print(f"decoded {len(ids)} codes -> {args.output}", file=sys.stderr)
@@ -278,15 +277,15 @@ def cmd_eval(args) -> int:
         if not args.archive:
             raise ValueError("sweeps need --archive to refit the model")
         arch = _load_archive(args.archive)
-        if arch.layout != model.layout:
+        if arch.params != model.params:
             raise ValueError("archive parameters do not match the model")
-        spectra = hppca.GroupSpectra(arch.features, arch.layout)  # shared by every refit
+        spectra = hppca.GroupSpectra(arch.features, arch.params)  # shared by every refit
         for d in args.sweep_dim or []:
             sweeps.append((str(d), hppca.fit_hierarchy(
-                spectra, model.intermediate_threshold, d, layout=arch.layout)))
+                spectra, model.intermediate_threshold, d, arch.params)))
         for r in args.sweep_ccr or []:
             sweeps.append((_fmt(r), hppca.fit_hierarchy(
-                spectra, r, model.output_dim, layout=arch.layout)))
+                spectra, r, model.output_dim, arch.params)))
     else:
         sweeps.append((str(model.output_dim), model))
 
@@ -327,7 +326,7 @@ def cmd_info(args) -> int:
     elif head == hppca.MODEL_MAGIC:
         model = hppca.load_model(args.path)
         p, lines = model.params, [
-            f"model: D={model.pss_dim} intermediate={model.intermediate_dim} "
+            f"model: D={pss.pss_dim(model.params)} intermediate={model.intermediate_dim} "
             f"output={model.output_dim}",
             f"ccr threshold: {model.intermediate_threshold!r}",
             f"group latents: {list(model.group_dims)}",

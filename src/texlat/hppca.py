@@ -23,8 +23,8 @@ import numpy as np
 
 from . import ppca
 from .ppca import PpcaModel
-from .pss import (PssLayout, PssParams, PssVector, column_names, pack_container,
-                  read_container)
+from .pss import (PssParams, PssVector, column_names, group_sizes, pack_container,
+                  pss_dim, read_container)
 
 MODEL_MAGIC = b"HPCA"
 MODEL_VERSION = 1
@@ -34,16 +34,8 @@ MODEL_VERSION = 1
 class HppcaModel:
     group_models: list[PpcaModel]  # one per statistic group, in order
     final_model: PpcaModel         # over the concatenated group latents
-    layout: PssLayout
+    params: PssParams
     intermediate_threshold: float
-
-    @property
-    def params(self) -> PssParams:
-        return self.layout.params
-
-    @property
-    def pss_dim(self) -> int:
-        return self.layout.dim
 
     @property
     def intermediate_dim(self) -> int:
@@ -59,15 +51,16 @@ class HppcaModel:
 
 
 class GroupSpectra:
-    """A matrix's ten group eigendecompositions, made at the first fit and then kept."""
+    """The ten group eigendecompositions of a matrix whose rows are statistic
+    vectors of `params`, made at the first fit and then kept."""
 
-    def __init__(self, matrix, layout: PssLayout):
-        x = np.asarray(matrix, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != layout.dim:
-            raise ValueError(f"data shape {x.shape} does not match layout dim {layout.dim}")
+    def __init__(self, matrix, params: PssParams):
+        x, dim = np.asarray(matrix, dtype=np.float64), pss_dim(params)
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError(f"data shape {x.shape} does not match layout dim {dim}")
         if x.shape[0] < 2:
             raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
-        self.layout, self.blocks = layout, [x[:, layout.group_slice(gi)] for gi in range(1, 11)]
+        self.params, self.blocks = params, [x[:, params.group_slice(gi)] for gi in range(1, 11)]
 
     @cached_property
     def groups(self) -> list[tuple]:
@@ -77,24 +70,23 @@ class GroupSpectra:
                 out.append(ppca._sample_eig(block))
             except np.linalg.LinAlgError as exc:
                 r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-                name = column_names(self.layout)[self.layout.group_slice(gi).start + c]
+                name = column_names(self.params)[self.params.group_slice(gi).start + c]
                 raise ValueError(f"group C{gi}: {exc}; its largest-magnitude entry is "
                                  f"{float(block[r, c])}, record {r}, column {name}") from exc
         return out
 
 
-def fit_hierarchy(matrix, threshold: float, output_dim: int,
-                  layout: PssLayout) -> HppcaModel:
+def fit_hierarchy(matrix, threshold: float, output_dim: int, params: PssParams) -> HppcaModel:
     """Fit the grouped stage and the final stage.
 
-    `matrix` holds one statistic vector of `layout` per row, or is their
+    `matrix` holds one statistic vector of `params` per row, or is their
     GroupSpectra; `threshold` is the cumulative-contribution ratio used
     for every group, and `output_dim` the final code length. An
     output_dim above the achieved intermediate dimension is an error.
     """
-    spectra = matrix if isinstance(matrix, GroupSpectra) else GroupSpectra(matrix, layout)
-    if spectra.layout != layout:
-        raise ValueError(f"group spectra are for {spectra.layout.params}, not {layout.params}")
+    spectra = matrix if isinstance(matrix, GroupSpectra) else GroupSpectra(matrix, params)
+    if spectra.params != params:
+        raise ValueError(f"group spectra are for {spectra.params}, not {params}")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if output_dim < 1:
@@ -114,12 +106,12 @@ def fit_hierarchy(matrix, threshold: float, output_dim: int,
             f"output dimension {output_dim} exceeds the {intermediate.shape[1]}"
             f"-dimensional intermediate representation")
     final = ppca.fit(intermediate, output_dim)
-    return HppcaModel(groups, final, layout, threshold)
+    return HppcaModel(groups, final, params, threshold)
 
 
 def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    latents = [ppca.encode(g, x[:, model.layout.group_slice(i + 1)])
+    latents = [ppca.encode(g, x[:, model.params.group_slice(i + 1)])
                for i, g in enumerate(model.group_models)]
     return ppca.encode(model.final_model, np.hstack(latents))
 
@@ -136,7 +128,7 @@ def decode_batch(model: HppcaModel, codes: np.ndarray) -> np.ndarray:
 
 def encode(model: HppcaModel, v: PssVector) -> np.ndarray:
     """Group-wise encode, concatenate, final encode."""
-    if v.layout != model.layout:
+    if v.params != model.params:
         raise ValueError("vector layout does not match the model")
     return encode_batch(model, v.values[None, :])[0]
 
@@ -146,12 +138,12 @@ def decode(model: HppcaModel, code) -> PssVector:
     z = np.asarray(code, dtype=np.float64)
     if z.shape != (model.output_dim,):
         raise ValueError(f"code length {z.shape} != model output {model.output_dim}")
-    return PssVector(decode_batch(model, z[None, :])[0], model.layout)
+    return PssVector(decode_batch(model, z[None, :])[0], model.params)
 
 
 def reduction_rate(model: HppcaModel) -> float:
     """Fraction of statistic dimensions removed by the final code."""
-    return 1.0 - model.output_dim / model.pss_dim
+    return 1.0 - model.output_dim / pss_dim(model.params)
 
 
 # --------------------------------------------------------------------------
@@ -186,17 +178,16 @@ def save_model(model: HppcaModel, path) -> None:
     blocks = b"".join(_pack_block(m) for m in [*model.group_models, model.final_model])
     Path(path).write_bytes(pack_container(
         MODEL_MAGIC, MODEL_VERSION, model.params, "dII",
-        [model.intermediate_threshold, model.output_dim, model.pss_dim], blocks))
+        [model.intermediate_threshold, model.output_dim, pss_dim(model.params)], blocks))
 
 
 def load_model(path) -> HppcaModel:
     buf, params, (thr, d, dim), pos = read_container(path, MODEL_MAGIC, MODEL_VERSION,
                                                      "dII", "model file")
-    layout = PssLayout(params)
-    if layout.dim != dim:
+    if pss_dim(params) != dim:
         raise ValueError("corrupt container: dimension header mismatch")
     groups = []
-    for size in layout.sizes:
+    for size in group_sizes(params):
         block, pos = _unpack_block(buf, pos)
         if block.dim != size:
             raise ValueError("corrupt container: group block size mismatch")
@@ -206,4 +197,4 @@ def load_model(path) -> HppcaModel:
         raise ValueError("corrupt container: trailing bytes")
     if final.dim != sum(g.q for g in groups) or final.q != d:
         raise ValueError("corrupt container: final block inconsistent")
-    return HppcaModel(groups, final, layout, float(thr))
+    return HppcaModel(groups, final, params, float(thr))

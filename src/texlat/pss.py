@@ -28,15 +28,16 @@ Every "reconstruction" is the input passed through one real transfer of
 `pyramid.TransferStack`. C3, C4, C6, C7, C9 and C10 are quadratic (C9:
 linear) in such images, so by Wiener-Khinchin they are weighted sums over
 the power spectrum |X|^2 of the centered input: a lag window of a cosine
-transform for C3/C4, a transfer-weighted Gram matrix for C6/C7, DC gains
-for C9. No filtered image is formed for them, and the C3/C4/C6/C7 sums of
-level L run over the central size/2^L crop of the spectrum, outside which
-its transfers are exactly zero. The C5 and C8 magnitude correlations are,
-by Parseval, inner products of the magnitude grids' spectra, whose zeroed
-DC bins remove the grid means: across scales, the coarser grid's spectrum
-with its Nyquist row and column split in two is the spectrum of its
-band-limited interpolation onto the finer grid. Only C1 and the C2
-moments of the N+1 level images are computed in space.
+transform for C3/C4, a transfer-weighted Gram matrix for C6/C7, the DC
+bin for C9, whose transfers' DC gains are 0 or 1. No filtered image is
+formed for them, and the C3/C4/C6/C7 sums of level L run over the central
+size/2^L crop of the spectrum, outside which its transfers are exactly
+zero. The C5 and C8 magnitude correlations are, by Parseval, inner
+products of the magnitude grids' spectra, whose zeroed DC bins remove the
+grid means: across scales, the coarser grid's spectrum with its Nyquist
+row and column split in two is the spectrum of its band-limited
+interpolation onto the finer grid. Only C1 and the C2 moments of the N+1
+level images are computed in space.
 
 Every statistic is a smooth function of the input (plus min/max and
 magnitudes), so the module also provides the exact reverse-mode
@@ -60,8 +61,6 @@ from .pyramid import PyramidParams, _crop, _ifft, _irfft, _rfft
 
 VAR_EPS = 1e-12  # below this population variance, normalized stats are 0
 
-_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
-
 
 class NumericError(ArithmeticError):
     """Raised when a statistic or gradient turns out non-finite."""
@@ -69,7 +68,8 @@ class NumericError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PssParams:
-    """Decomposition depth, orientation count and autocorrelation window."""
+    """Decomposition depth, orientation count and autocorrelation window: the
+    statistic's ten group sizes, and so its layout, follow from these alone."""
 
     n_scales: int = 4
     n_orientations: int = 4
@@ -81,6 +81,14 @@ class PssParams:
         if m < 3 or m % 2 == 0:
             raise ValueError(f"neighborhood must be odd and >= 3, got {m}")
 
+    def group_slice(self, group: int) -> slice:
+        """Slice of group 1..10 in the flat vector."""
+        if not 1 <= group <= 10:
+            raise IndexError(f"group index {group} out of range 1..10")
+        sizes = group_sizes(self)
+        start = sum(sizes[:group - 1])
+        return slice(start, start + sizes[group - 1])
+
 
 def group_sizes(params: PssParams) -> tuple[int, ...]:
     n, k, m = params.n_scales, params.n_orientations, params.neighborhood
@@ -88,47 +96,21 @@ def group_sizes(params: PssParams) -> tuple[int, ...]:
             k * k * (n + 1), k * k * n * (n + 1), n * n * k * k, n * k + 2, 1)
 
 
-@dataclass(frozen=True)
-class PssLayout:
-    """Index map of the ten contiguous group slices in the flat vector."""
-
-    params: PssParams
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return group_sizes(self.params)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.sizes)
-
-    def group_slice(self, group: int) -> slice:
-        """Slice for group 1..10."""
-        if not 1 <= group <= 10:
-            raise IndexError(f"group index {group} out of range 1..10")
-        start = sum(self.sizes[:group - 1])
-        return slice(start, start + self.sizes[group - 1])
-
-
 @dataclass
 class PssVector:
-    """A statistic vector together with its layout."""
+    """A statistic vector together with the parameters that fix its layout."""
 
     values: np.ndarray
-    layout: PssLayout
+    params: PssParams
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.layout.dim,):
-            raise ValueError(
-                f"values have length {self.values.size}, layout says {self.layout.dim}")
-
-    @property
-    def params(self) -> PssParams:
-        return self.layout.params
+        dim = pss_dim(self.params)
+        if self.values.shape != (dim,):
+            raise ValueError(f"values have length {self.values.size}, layout says {dim}")
 
     def group(self, group: int) -> np.ndarray:
-        return self.values[self.layout.group_slice(group)]
+        return self.values[self.params.group_slice(group)]
 
 
 def pss_dim(params: PssParams) -> int:
@@ -140,10 +122,9 @@ def _level_tag(level: int, n_scales: int) -> str:
     return f"s{level}" if level <= n_scales else "lr"
 
 
-def column_names(layout: PssLayout) -> list[str]:
+def column_names(params: PssParams) -> list[str]:
     """Stable per-coordinate names, e.g. C3.s2.o1.dy-3.dx2."""
-    p = layout.params
-    n, k, m = p.n_scales, p.n_orientations, p.neighborhood
+    n, k, m = params.n_scales, params.n_orientations, params.neighborhood
     h = (m - 1) // 2
     lags = [(dy, dx) for dy in range(-h, h + 1) for dx in range(-h, h + 1)]
     names = ["C1.mean", "C1.var", "C1.skew", "C1.kurt", "C1.min", "C1.max"]
@@ -291,7 +272,7 @@ class _Cache:
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
                  "mag_spec", "mag_var", "rho5", "interp", "cross", "var20",
-                 "ok20", "rho20", "idx67", "dc_gain")
+                 "ok20", "rho20", "idx67")
 
 
 def check_size(size: int, params: PssParams) -> None:
@@ -398,11 +379,11 @@ def _forward(img, params: PssParams):
             else:
                 values += cc.cross[sa, sb].T.ravel().tolist()
 
-    # C9: a filtered image's mean is its transfer's DC gain times the input mean
-    mid = lambda t: t[..., t.shape[-1] // 2, t.shape[-1] // 2]
-    cc.dc_gain = np.append([mid(t[-n_or:]) for t in stack.corr_recon[:n_sc]],
-                           [mid(stack.low_recon), mid(stack.high_recon)])
-    values += (cc.dc_gain * (spec[dc, dc].real / npix)).tolist()
+    # C9: a filtered image's mean is its transfer's DC gain times the input
+    # mean, and that gain is 0 for bands and high-pass, 1 for the low-pass
+    # (0.0 * mean, not 0.0: a zero gain keeps the sign of a negative mean)
+    mean = spec[dc, dc].real / npix
+    values += [0.0 * mean] * (n_sc * n_or) + [mean, 0.0 * mean]
 
     values.append(np.sum(stack.high_recon ** 2 * power) / npix ** 2)
 
@@ -416,7 +397,7 @@ def _forward(img, params: PssParams):
 def extract_pss(img, params: PssParams = PssParams()) -> PssVector:
     """Compute the full statistic vector of one image."""
     values, _ = _forward(img, params)
-    return PssVector(values, PssLayout(params))
+    return PssVector(values, params)
 
 
 # --------------------------------------------------------------------------
@@ -426,12 +407,12 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. input pixels of sum(dvalues * statistics)."""
     params, size, stack = cc.params, cc.size, cc.stack
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
-    layout = PssLayout(params)
-    g = [dvalues[layout.group_slice(i)] for i in range(1, 11)]
+    g = [dvalues[params.group_slice(i)] for i in range(1, 11)]
     npix, dc = size * size, size // 2
 
-    # C1 raw-pixel moments and extrema; the C1 and C9 means are linear
-    grad = np.full((size, size), (g[0][0] + g[8] @ cc.dc_gain) / npix)
+    # C1 raw-pixel moments and extrema; the C1 mean and the low-pass C9 mean
+    # (DC gain 1, the other C9 gains are 0) are linear
+    grad = np.full((size, size), (g[0][0] + g[8][-2]) / npix)
     grad += g[0][1] * (2.0 / npix) * cc.aux1[0]
     grad += _skew_kurt_backward(cc.aux1, g[0][2], g[0][3])
     flat = grad.ravel()
@@ -545,4 +526,4 @@ def load_vector(path) -> PssVector:
     if dim != pss_dim(params) or len(buf) != pos + 8 * dim:
         raise ValueError(f"corrupt container: {path} has inconsistent sizes")
     values = np.frombuffer(buf, dtype="<f8", offset=pos).astype(np.float64)
-    return PssVector(values, PssLayout(params))
+    return PssVector(values, params)

@@ -66,7 +66,7 @@ def default_weights(target: PssVector) -> np.ndarray:
 def _coordinate_weights(target: PssVector, weights=None) -> np.ndarray:
     """Each coordinate's group weight; None takes default_weights(target)."""
     gw = default_weights(target) if weights is None else np.asarray(weights, dtype=np.float64)
-    return np.repeat(gw, target.layout.sizes)
+    return np.repeat(gw, pss_mod.group_sizes(target.params))
 
 
 def _objective(img, target: PssVector, wvec):
@@ -80,7 +80,7 @@ def _objective(img, target: PssVector, wvec):
 
 def pss_distance(a: PssVector, b: PssVector, weights=None) -> float:
     """Sum over groups of weight * squared Euclidean group distance."""
-    if a.layout != b.layout:
+    if a.params != b.params:
         raise ValueError("statistic vectors have different layouts")
     diff = a.values - b.values
     return float(_coordinate_weights(b, weights) @ (diff * diff))

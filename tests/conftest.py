@@ -17,6 +17,9 @@ def pytest_configure(config):
     # numpy's divide, invalid and overflow warnings flag a NaN or inf that a
     # spectral sum produced silently
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    # a deprecated numpy call in texlat fails on the first version that warns,
+    # not on the one that removes it
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning:texlat")
 
 
 def pad(spec, size):
@@ -122,9 +125,9 @@ def synthetic_corpus(size, per_class, noise_seed=77):
 
 
 def vector_matrix(vectors):
-    """Statistic vectors of one layout as the (matrix, layout) pair that
+    """Statistic vectors of one layout as the (matrix, params) pair that
     hppca.fit_hierarchy takes."""
-    return np.stack([v.values for v in vectors]), vectors[0].layout
+    return np.stack([v.values for v in vectors]), vectors[0].params
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import filtered_noise, grating, oriented_grating, synthetic_corpus
 from texlat import hppca, ppca, pss, pyramid, synthesis
-from texlat.pss import PssParams, PssLayout
+from texlat.pss import PssParams
 from texlat.synthesis import SynthesisConfig
 
 
@@ -28,11 +28,11 @@ def test_criterion_1_dimension_accounting():
 
 
 def test_criterion_2_reduction_rate_arithmetic():
-    layout = PssLayout(PssParams(4, 4, 7))
+    params = PssParams(4, 4, 7)
 
     def rate(d):
         final = ppca.PpcaModel(np.zeros(d), np.zeros((d, d)), 0.0, np.zeros(d), d)
-        return 100.0 * hppca.reduction_rate(hppca.HppcaModel([], final, layout, 1.0))
+        return 100.0 * hppca.reduction_rate(hppca.HppcaModel([], final, params, 1.0))
 
     r200, r1000 = rate(200), rate(1000)
     ok = abs(r200 - 88.8) <= 0.1 and abs(r1000 - 43.9) <= 0.1
@@ -208,13 +208,12 @@ def test_criterion_7_tss_matches_brute_force():
 def test_criterion_8_hppca_monotonicity():
     params = PssParams(3, 4, 7)
     corpus = synthetic_corpus(64, 32)
-    layout = PssLayout(params)
     feats = np.stack([pss.extract_pss(img, params).values for _, _, img in corpus])
 
     dims = [10, 50, 100, 200]
     models, errors = {}, []
     for d in dims:
-        m = hppca.fit_hierarchy(feats, 0.99999999, d, layout=layout)
+        m = hppca.fit_hierarchy(feats, 0.99999999, d, params=params)
         models[d] = m
         rec = hppca.decode_batch(m, hppca.encode_batch(m, feats))
         errors.append(float(np.linalg.norm(rec - feats) / np.linalg.norm(feats)))

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import multiprocessing
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from texlat import cli, hppca, image, ppca, pss, synthesis
-from texlat.archive import load_archive, save_archive
+from texlat.archive import FeatureArchive, load_archive, save_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
 
@@ -438,7 +443,7 @@ class TestEval:
         body = read_csv(report)[1:]
         for d, row in zip((2, 3), body):
             swept = hppca.fit_hierarchy(arch.features, model.intermediate_threshold, d,
-                                        layout=arch.layout)
+                                        params=arch.params)
             rows = synthesis.evaluate_model(swept, items,
                                             synthesis.SynthesisConfig(iterations=1), 9)
             tss = [r.tss for r in rows]
@@ -476,7 +481,7 @@ class TestEval:
         assert len(body) == 2
         for ccr, row in zip((0.999, 0.9999), body):
             swept = hppca.fit_hierarchy(arch.features, ccr, model.output_dim,
-                                        layout=arch.layout)
+                                        params=arch.params)
             rows = synthesis.evaluate_model(swept, items,
                                             synthesis.SynthesisConfig(iterations=1), 9)
             tss = [r.tss for r in rows]
@@ -616,3 +621,109 @@ class TestInfoAndExitCodes:
         assert run("bands", src, "-o", out, "--scales", "2", "--orients", "2") == 2
         assert "nan.pgm" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+# --------------------------------------------------------------------------
+# non-finite and near-overflow values in the files the commands read
+
+NF_PARAMS = pss.PssParams(1, 1, 3)
+NF_DIM = pss.pss_dim(NF_PARAMS)
+NF_ROWS = 8
+MAX = np.finfo(float).max
+_poison = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                    st.floats(1e300, MAX), st.floats(-MAX, -1e300))
+
+
+def _cells(rows, cols):
+    return st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), _poison),
+                    min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def nf_base(tmp_path_factory):
+    """A clean archive, the model trained on it, its codes and a two-image dataset."""
+    root = tmp_path_factory.mktemp("nonfinite")
+    rng = np.random.default_rng(5)
+    arch = FeatureArchive(NF_PARAMS, ["a", "b"], np.arange(NF_ROWS, dtype=np.int32) % 2,
+                          [f"{'ab'[i % 2]}/{i}.pgm" for i in range(NF_ROWS)],
+                          rng.standard_normal((NF_ROWS, NF_DIM)))
+    save_archive(arch, root / "clean.pssa")
+    for cls in "ab":
+        (root / "data" / cls).mkdir(parents=True)
+        image.save_image(rng.uniform(0, 255, (16, 16)), root / "data" / cls / "x.pgm")
+    assert run("train", root / "clean.pssa", "-o", root / "base.hpca", "--dim", "2") == 0
+    assert run("encode", root / "base.hpca", root / "clean.pssa", "-o", root / "codes.csv") == 0
+    return root, arch
+
+
+def _outcome(argv, outputs):
+    """Run one command; it exits 0 with every output finite, or 2/3 naming a
+    reason and writing nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    written = [p for p in outputs if p.exists()]
+    if code in (2, 3):
+        last = err.getvalue().strip().splitlines()[-1]
+        assert re.fullmatch(r"(error|numeric failure): \S.*", last), last
+        assert written == [], f"{argv[0]} exited {code} but wrote {written}"
+        return
+    assert code == 0, (argv[0], code, err.getvalue())
+    assert written == outputs
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE), out.getvalue()
+    for p in written:
+        if p.suffix == ".csv":
+            body = [row[1:] for row in read_csv(p)[1:]]
+            assert np.isfinite(np.array(body, dtype=float)).all(), p
+        elif p.suffix == ".hpca":
+            m = hppca.load_model(p)
+            for b in [*m.group_models, m.final_model]:
+                for a in (b.mean, b.loadings, b.eigenvalues, b.noise_var):
+                    assert np.isfinite(a).all(), p
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(cells=_cells(NF_ROWS, NF_DIM))
+def test_poisoned_archive_exits_cleanly(nf_base, tmp_path_factory, cells):
+    root, clean = nf_base
+    work = tmp_path_factory.mktemp("arch")
+    feats = clean.features.copy()
+    for r, c, value in cells:
+        feats[r, c] = value
+    bad = work / "bad.pssa"
+    save_archive(FeatureArchive(NF_PARAMS, clean.classes, clean.labels, clean.ids, feats), bad)
+    model, spectrum, codes, report = (work / n for n in ("m.hpca", "s.csv", "c.csv", "r.csv"))
+    _outcome(["train", bad, "-o", model, "--dim", "2", "--spectrum-csv", spectrum],
+             [model, spectrum])
+    _outcome(["encode", root / "base.hpca", bad, "-o", codes], [codes])
+    _outcome(["eval", root / "base.hpca", root / "data", "--size", "16", "--archive", bad,
+              "--sweep-dim", "1,2", "--iterations", "0", "--patch-size", "3", "-o", report],
+             [report])
+    _outcome(["info", bad], [])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(cells=_cells(NF_ROWS, 2), row=st.integers(0, NF_ROWS - 1))
+def test_poisoned_codes_exit_cleanly(nf_base, tmp_path_factory, cells, row):
+    root, _ = nf_base
+    work = tmp_path_factory.mktemp("codes")
+    table = read_csv(root / "codes.csv")
+    for r, c, value in cells:
+        table[r + 1][c + 1] = repr(float(value))
+    bad = work / "bad.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
+    decoded, synth, trace = work / "d.csv", work / "s.pgm", work / "t.csv"
+    _outcome(["decode", root / "base.hpca", bad, "-o", decoded], [decoded])
+    _outcome(["synth", root / "base.hpca", "--code", bad, "--row", row, "--synth-size", "64",
+              "--iterations", "1", "-o", synth, "--trace", trace], [synth, trace])
+
+
+@settings(max_examples=20, deadline=None)
+@given(values=arrays(np.float64, NF_DIM, elements=st.floats(-1, 1) | _poison))
+def test_poisoned_vector_info_exits_cleanly(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("pssv") / "v.pssv"
+    pss.save_vector(pss.PssVector(values, NF_PARAMS), path)
+    _outcome(["info", path], [])

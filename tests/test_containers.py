@@ -1,5 +1,6 @@
 """Every container texlat writes either loads or fails with ValueError."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from texlat import cli, hppca, pss
 from texlat.archive import FeatureArchive, load_archive, save_archive
 from texlat.ppca import PpcaModel
-from texlat.pss import PssLayout, PssParams
+from texlat.pss import PssParams
 
 PARAMS = PssParams(1, 1, 3)
 
@@ -25,14 +26,13 @@ def _archive(path):
 
 def _model(path):
     rng = np.random.default_rng(0)
-    layout = PssLayout(PARAMS)
-    x = rng.standard_normal((12, layout.dim))
-    hppca.save_model(hppca.fit_hierarchy(x, 0.9, 2, layout=layout), path)
+    x = rng.standard_normal((12, pss.pss_dim(PARAMS)))
+    hppca.save_model(hppca.fit_hierarchy(x, 0.9, 2, params=PARAMS), path)
 
 
 def _vector(path):
     values = np.random.default_rng(0).standard_normal(pss.pss_dim(PARAMS))
-    pss.save_vector(pss.PssVector(values, PssLayout(PARAMS)), path)
+    pss.save_vector(pss.PssVector(values, PARAMS), path)
 
 
 CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, hppca.load_model),
@@ -147,16 +147,15 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
         return PpcaModel(rng.standard_normal(dim), rng.standard_normal((dim, q)), noise_var,
                          data.draw(arrays(np.float64, dim, elements=st.floats(width=64))), q)
 
-    layout = PssLayout(params)
     groups = [block(size, data.draw(st.integers(1, min(size, 3))), nv)
-              for size, nv in zip(layout.sizes, noise)]
+              for size, nv in zip(pss.group_sizes(params), noise)]
     inter = sum(g.q for g in groups)
     final = block(inter, data.draw(st.integers(1, inter)), noise[-1])
-    model = hppca.HppcaModel(groups, final, layout, thr)
+    model = hppca.HppcaModel(groups, final, params, thr)
     path = tmp_path_factory.mktemp("hpca") / "m.hpca"
     hppca.save_model(model, path)
     back = hppca.load_model(path)
-    assert back.layout == layout
+    assert back.params == params
     _same_bits(np.array(back.intermediate_threshold), np.array(thr))
     for got, want in zip([*back.group_models, back.final_model], [*groups, final]):
         assert got.q == want.q
@@ -168,10 +167,42 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
 @settings(max_examples=30, deadline=None)
 @given(params=_params, data=st.data())
 def test_vector_round_trip_property(tmp_path_factory, params, data):
-    layout = PssLayout(params)
-    values = data.draw(arrays(np.float64, layout.dim, elements=st.floats(width=64)))
+    values = data.draw(arrays(np.float64, pss.pss_dim(params), elements=st.floats(width=64)))
     path = tmp_path_factory.mktemp("pssv") / "v.pssv"
-    pss.save_vector(pss.PssVector(values, layout), path)
+    pss.save_vector(pss.PssVector(values, params), path)
     back = pss.load_vector(path)
-    assert back.layout == layout
+    assert back.params == params
     _same_bits(back.values, values)
+
+
+# sha256 of each writer's bytes for fixed inputs, and of the default column
+# names. The round trips above pass when writer and reader change together;
+# these do not, so any change to a file format or a column name shows here
+FORMAT_SHA256 = {
+    "a.pssa": "c5c54a5be57bc7dec411f1879024c9cf8d82ccfa94a8a18e9af6af78c1b1d504",
+    "m.hpca": "7acecb3ab705a3facdb105ab513e8d8d63ecea8173f71266e49ae0333a5347df",
+    "v.pssv": "da8f91740765eb7177e939c7b4e5f0d8498fc0c862f1dc9e2a2d265c58e2f17e",
+    "columns": "d0667b85aae4d4e54ac2fb72bc381286604bc000e27da401aeb5a6d4196ac0be",
+}
+
+
+def test_formats_and_column_names_are_pinned(tmp_path):
+    params = PssParams()
+    dim = pss.pss_dim(params)
+    rng = np.random.default_rng(2024)
+    save_archive(FeatureArchive(params, ["grate", "rings"], np.array([0, 1, 1], np.int32),
+                                ["grate/0.pgm", "rings/0.pgm", "rings/1.pgm"],
+                                rng.random((3, dim))), tmp_path / "a.pssa")
+    pss.save_vector(pss.PssVector(rng.random(dim), params), tmp_path / "v.pssv")
+
+    def block(size, q, offset):  # dyadic fractions: the same bits on every platform
+        x = np.arange(size * (q + 2), dtype=np.float64).reshape(size, q + 2) / 8.0 - offset
+        return PpcaModel(x[:, 0], x[:, 2:], offset / 4.0, x[:, 1], q)
+
+    groups = [block(size, min(size, 2), i) for i, size in enumerate(pss.group_sizes(params))]
+    final = block(sum(g.q for g in groups), 3, 10)
+    hppca.save_model(hppca.HppcaModel(groups, final, params, 0.99), tmp_path / "m.hpca")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("a.pssa", "m.hpca", "v.pssv")}
+    got["columns"] = hashlib.sha256("\n".join(pss.column_names(params)).encode()).hexdigest()
+    assert got == FORMAT_SHA256

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import pad
 from texlat import pss, pyramid
-from texlat.pss import PssLayout, PssParams, PssVector
+from texlat.pss import PssParams, PssVector
 
 
 def extract(img, n=3, k=4, m=7):
@@ -49,7 +49,7 @@ class TestLayout:
     def test_group_views_partition_the_vector(self, rng):
         v = extract(rng.standard_normal((32, 32)), 2, 2, 3)
         pieces = [v.group(g) for g in range(1, 11)]
-        assert [p.size for p in pieces] == list(v.layout.sizes)
+        assert [p.size for p in pieces] == list(pss.group_sizes(v.params))
         np.testing.assert_array_equal(np.concatenate(pieces), v.values)
 
     def test_group_view_bad_index(self, rng):
@@ -60,20 +60,20 @@ class TestLayout:
             v.group(0)
 
     def test_vector_length_must_match_layout(self):
-        lay = PssLayout(PssParams(1, 1, 3))
-        assert lay.sizes == pss.group_sizes(PssParams(1, 1, 3)) and lay.dim == 47
+        params = PssParams(1, 1, 3)
+        assert pss.pss_dim(params) == 47
         with pytest.raises(ValueError):
-            PssVector(np.zeros(10), lay)
+            PssVector(np.zeros(10), params)
 
     def test_column_names_match_layout(self):
-        lay = PssLayout(PssParams(4, 4, 7))
-        names = pss.column_names(lay)
+        params = PssParams(4, 4, 7)
+        names = pss.column_names(params)
         assert len(names) == 1784
         assert names[0] == "C1.mean"
         assert names[-1] == "C10.hr.var"
         assert "C3.s2.o1.dy-3.dx2" in names
         idx = names.index("C3.s2.o1.dy-3.dx2")
-        start = lay.group_slice(3).start
+        start = params.group_slice(3).start
         # scale 2, orientation 1, lag (-3, 2) inside the 7x7 window
         assert idx == start + ((2 - 1) * 4 + 1) * 49 + (-3 + 3) * 7 + (2 + 3)
 
@@ -85,7 +85,7 @@ class TestStatisticValues:
         for g in (3, 4, 5, 6, 7, 8):
             assert np.abs(v.group(g)).max() == 0.0
         np.testing.assert_array_equal(v.group(10), [0.0])
-        np.testing.assert_array_equal(v.group(2), np.zeros(v.layout.sizes[1]))
+        np.testing.assert_array_equal(v.group(2), np.zeros(pss.group_sizes(v.params)[1]))
 
     def test_gaussian_noise_moments(self):
         noise = np.random.default_rng(11).standard_normal((128, 128))

@@ -226,6 +226,19 @@ class TestTransferStack:
             total = total + pad(level[-4:], 64).sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("size,n,k", [(8, 1, 1), (16, 2, 3), (64, 3, 4), (128, 4, 6),
+                                          (256, 4, 4)])
+    def test_dc_gains_are_exactly_zero_or_one(self, size, n, k):
+        # the statistic's C9 rests on this: every band, scale and high-pass
+        # round trip drops the mean, the low-pass one keeps it unscaled
+        stack = P.transfer_stack(size, n, k)
+        dc = lambda t: t[..., t.shape[-1] // 2, t.shape[-1] // 2]
+        zeros = [dc(t) for t in (*stack.corr_recon[:n], stack.corr_recon[n][:-k],
+                                 *stack.scale_recon, stack.high_recon)]
+        for z in zeros:
+            assert np.array_equal(z, np.zeros_like(z)) and not np.signbit(z).any()
+        assert dc(stack.low_recon) == 1.0
+
     def test_band_grid_matches_recursive_build(self, rng):
         img = rng.standard_normal((64, 64))
         bands, low = recursive_analysis(img, 3, 4)

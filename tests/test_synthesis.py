@@ -30,7 +30,7 @@ class TestDistance:
     def test_single_coordinate_delta_squares(self, rng):
         v = pss.extract_pss(rng.standard_normal((16, 16)), PssParams(2, 2, 3))
         w = np.ones(10)
-        bumped = PssVector(v.values.copy(), v.layout)
+        bumped = PssVector(v.values.copy(), v.params)
         bumped.values[11] += 0.5
         assert abs(synthesis.pss_distance(bumped, v, w) - 0.25) < 1e-12
 
@@ -319,12 +319,12 @@ class TestEvaluateModel:
         params = PssParams(2, 2, 3)
         imgs = [(f"img{i}", rng.standard_normal((32, 32)) * (20 + 4 * i) + 120)
                 for i in range(6)]
-        x, layout = vector_matrix([pss.extract_pss(im, params) for _, im in imgs])
-        return params, imgs, x, layout
+        x, _ = vector_matrix([pss.extract_pss(im, params) for _, im in imgs])
+        return params, imgs, x
 
     def test_rows_and_bounds(self, tiny_setup):
-        params, imgs, x, layout = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 4, layout)
+        params, imgs, x = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 4, params)
         rows = synthesis.evaluate_model(model, imgs[:3],
                                         SynthesisConfig(iterations=2, seed=5),
                                         patch_size=9)
@@ -335,8 +335,8 @@ class TestEvaluateModel:
             assert r.samples == 9
 
     def test_near_lossless_model_attains_tiny_pss_error(self, tiny_setup):
-        params, imgs, x, layout = tiny_setup
-        model = hppca.fit_hierarchy(x, 1.0 - 1e-12, x.shape[0] - 1, layout)
+        params, imgs, x = tiny_setup
+        model = hppca.fit_hierarchy(x, 1.0 - 1e-12, x.shape[0] - 1, params)
         rows = synthesis.evaluate_model(model, imgs[:2],
                                         SynthesisConfig(iterations=0, seed=5),
                                         patch_size=9)
@@ -344,16 +344,16 @@ class TestEvaluateModel:
             assert r.pss_rel_err <= 1e-6
 
     def test_deterministic(self, tiny_setup):
-        params, imgs, x, layout = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
+        params, imgs, x = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, params)
         cfg = SynthesisConfig(iterations=2, seed=9)
         r1 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         r2 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         assert [(a.tss, a.pss_rel_err) for a in r1] == [(b.tss, b.pss_rel_err) for b in r2]
 
     def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
-        params, imgs, x, layout = tiny_setup
-        models = [hppca.fit_hierarchy(x, 0.999, d, layout) for d in (2, 4)]
+        params, imgs, x = tiny_setup
+        models = [hppca.fit_hierarchy(x, 0.999, d, params) for d in (2, 4)]
         cfg = SynthesisConfig(iterations=0, seed=5)
         index, (image_id, img) = 3, imgs[3]
         rows = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
@@ -365,8 +365,8 @@ class TestEvaluateModel:
             assert (row.tss, row.samples) == synthesis.sample_grid_tss(out, img, 9)
 
     def test_non_finite_decoded_statistic_raises(self, tiny_setup, monkeypatch):
-        params, imgs, x, layout = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
+        params, imgs, x = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, params)
         decode = hppca.decode
 
         def non_finite(m, code):
@@ -379,8 +379,8 @@ class TestEvaluateModel:
                                      (0, imgs[0]))
 
     def test_empty_set_rejected(self, tiny_setup):
-        params, imgs, x, layout = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, layout)
+        params, imgs, x = tiny_setup
+        model = hppca.fit_hierarchy(x, 0.999, 3, params)
         with pytest.raises(ValueError):
             synthesis.evaluate_model(model, [], SynthesisConfig(iterations=0))
 
