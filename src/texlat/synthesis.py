@@ -20,7 +20,8 @@ Evaluation extracts each image's statistic and builds its source terms
 (spectrum and window norms) once, and scores it against every model of a
 sweep, so a sweep over d costs one source statistic and one set of source
 terms per image, not one per image and d. At zero iterations the sample is
-the seeded noise itself, so evaluation computes no statistic of it.
+the seeded noise itself, so evaluation computes no statistic of it, and
+one correlation per tile serves every swept model.
 """
 
 from __future__ import annotations
@@ -127,9 +128,14 @@ def initial_image(target: PssVector, cfg: SynthesisConfig,
     variance: where synthesis starts, and the sample eval scores at zero
     iterations. `noise` is _unit_noise(cfg) when given, so that one draw
     serves every target of one seed."""
-    z = _unit_noise(cfg) if noise is None else noise
-    mean, var = target.group(1)[0], max(target.group(1)[1], 0.0)
-    return mean + np.sqrt(var) * z
+    mean, std = _noise_moments(target)
+    return mean + std * (_unit_noise(cfg) if noise is None else noise)
+
+
+def _noise_moments(target: PssVector):
+    """The target's C1 mean and standard deviation, which initial_image gives the noise."""
+    mean, var = target.group(1)[:2]
+    return mean, np.sqrt(max(var, 0.0))
 
 
 def synthesize(target: PssVector, cfg: SynthesisConfig,
@@ -213,10 +219,10 @@ class TssReport:
 
 
 class SourceTerms:
-    """What every p x p sample needs of one source: its spectrum and the
-    inverse norm of each window (0 for a zero window). Each is computed at
-    its first use, inside the scoring call that needs it, and then kept
-    for every later sample scored against the same source."""
+    """What every p x p sample needs of one source: its spectrum, each
+    window's inverse norm (0 for a zero window) and sum times that norm.
+    Each is computed at its first use, inside the scoring call that needs
+    it, and kept for every later sample scored against the same source."""
 
     def __init__(self, source, patch_size: int):
         p = patch_size
@@ -233,22 +239,27 @@ class SourceTerms:
 
     @cached_property
     def inv_norms(self) -> np.ndarray:
-        p = self.patch_size
-        windows = sliding_window_view(self.source, (p, p))
-        norms = np.sqrt(np.einsum("ijkl,ijkl->ij", windows, windows))
+        p = self.patch_size  # sums of squares: sliding sums down columns, then along rows
+        cols = sliding_window_view(np.square(self.source), p, axis=0).sum(-1)
+        norms = np.sqrt(sliding_window_view(cols, p, axis=1).sum(-1))
         return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
 
+    @cached_property
+    def window_sums(self) -> np.ndarray:
+        return _correlate(np.ones((self.patch_size,) * 2), self)
 
-def _best_match(s, terms: SourceTerms) -> TssReport:
-    # correlation with every window at once; offsets up to shape - p never wrap
+
+def _correlate(s, terms: SourceTerms) -> np.ndarray:
+    """s's dot with each source window times its inverse norm; no offset wraps."""
     shape, inv_norms = terms.source.shape, terms.inv_norms
     dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * terms.spec, s=shape)
+    return dots[:inv_norms.shape[0], :inv_norms.shape[1]] * inv_norms
+
+
+def _cosine(q, s) -> float:
+    """The best of the correlations q of sample s over its norm; 0 for a zero sample."""
     sn = float(np.linalg.norm(s))
-    ny, nx = inv_norms.shape
-    sims = dots[:ny, :nx] * inv_norms / sn if sn > 0 else np.zeros_like(inv_norms)
-    best = int(np.argmax(sims))
-    loc = np.unravel_index(best, sims.shape)
-    return TssReport(float(sims.flat[best]), s.shape[0], sims.size, (int(loc[0]), int(loc[1])))
+    return float(q.max()) / sn if sn > 0 else 0.0
 
 
 def tss(sample, source) -> TssReport:
@@ -261,17 +272,21 @@ def tss(sample, source) -> TssReport:
     s = np.asarray(sample, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError(f"sample must be a square patch, got shape {s.shape}")
-    return _best_match(s, SourceTerms(source, s.shape[0]))
+    q = _correlate(s, SourceTerms(source, s.shape[0]))
+    loc = np.unravel_index(int(np.argmax(q)), q.shape)
+    return TssReport(_cosine(q, s), s.shape[0], q.size, (int(loc[0]), int(loc[1])))
 
 
-def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
+def sample_grid_tss(image, source, patch_size: int, moments=None):
     """Mean of per-sample maxima over a centered non-overlapping grid.
 
     The image is cut into as many whole patch_size x patch_size tiles as
     fit, centered; each tile is scored against every source patch, whose
     norms are computed once for all tiles. `source` is an image, or the
     SourceTerms of one built for patch_size, so that callers scoring many
-    images against one source build them once.
+    images against one source build them once. Returns (score, tiles), or
+    given (mean, std) `moments`, ([score of mean + std * image per pair],
+    tiles) from one correlation per tile, which is linear in the tile.
     """
     if not isinstance(source, SourceTerms):
         source = SourceTerms(source, patch_size)
@@ -284,13 +299,17 @@ def sample_grid_tss(image, source, patch_size: int) -> tuple[float, int]:
         raise ValueError(f"image {a.shape} holds no {patch_size}px sample")
     oy = (a.shape[0] - ny * patch_size) // 2
     ox = (a.shape[1] - nx * patch_size) // 2
-    scores = []
+    scores = []  # one row per tile, one column per pair
     for iy in range(ny):
         for ix in range(nx):
             y0, x0 = oy + iy * patch_size, ox + ix * patch_size
             tile = a[y0:y0 + patch_size, x0:x0 + patch_size]
-            scores.append(_best_match(tile, source).tss)
-    return float(np.mean(scores)), len(scores)
+            q = _correlate(tile, source)
+            scores.append([_cosine(q, tile)] if moments is None else
+                          [_cosine(m * source.window_sums + sd * q, m + sd * tile)
+                           for m, sd in moments])
+    means = [float(np.mean(col)) for col in zip(*scores)]
+    return (means[0] if moments is None else means), len(scores)
 
 
 @dataclass
@@ -309,8 +328,9 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     cfg.seed + index at the image's own size and scored against the image,
     so a report is independent of any parallel scheduling. At zero
     iterations the sample is initial_image of the decoded statistic, with
-    no statistic computed of it. Raises NumericError when a decoded
-    statistic, a relative error or a score is not finite.
+    no statistic computed of it, and one sample_grid_tss call scores every
+    model's sample. Raises NumericError when a decoded statistic, a
+    relative error or a score is not finite.
     """
     index, (image_id, img) = task
     a = np.asarray(img, dtype=np.float64)
@@ -319,21 +339,26 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     v = pss_mod.extract_pss(a, params)
     terms = SourceTerms(a, patch_size)
     noise = _unit_noise(run_cfg)
-    rows = []
+    rels, scored, moments = [], [], []
     for model in models:
         decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
         rel = float(np.linalg.norm(decoded.values - v.values)
                     / max(np.linalg.norm(v.values), 1e-300))
         if not np.isfinite(rel):  # also catches every non-finite decoded value
             raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
-        synth = initial_image(decoded, run_cfg, noise)
-        if cfg.iterations > 0:
-            synth, _ = synthesize(decoded, run_cfg, synth)
-        score, count = sample_grid_tss(synth, terms, patch_size)
+        rels.append(rel)
+        if cfg.iterations == 0:
+            moments.append(_noise_moments(decoded))
+        else:
+            synth, _ = synthesize(decoded, run_cfg, initial_image(decoded, run_cfg, noise))
+            scored.append(sample_grid_tss(synth, terms, patch_size))
+    if moments:
+        scores, count = sample_grid_tss(noise, terms, patch_size, moments)
+        scored = [(score, count) for score in scores]
+    for score, _ in scored:
         if not np.isfinite(score):
             raise NumericError(f"{image_id}: TSS is {score}")
-        rows.append(EvalRow(image_id, score, rel, count))
-    return rows
+    return [EvalRow(image_id, score, rel, count) for rel, (score, count) in zip(rels, scored)]
 
 
 def evaluate_model(model, images: Iterable[tuple[str, np.ndarray]],

@@ -395,18 +395,21 @@ class TestEval:
             outs.append(report.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("method, sweep", [
-        pytest.param("forkserver", False, id="forkserver"),
-        pytest.param("spawn", False, id="spawn"),
-        pytest.param("forkserver", True, id="forkserver-sweep"),
-        pytest.param("spawn", True, id="spawn-sweep"),
+    @pytest.mark.parametrize("method, sweep, iterations", [
+        pytest.param("forkserver", False, "1", id="forkserver"),
+        pytest.param("spawn", False, "1", id="spawn"),
+        pytest.param("forkserver", True, "1", id="forkserver-sweep"),
+        pytest.param("spawn", True, "1", id="spawn-sweep"),
+        # one sample_grid_tss call then scores every swept model
+        pytest.param("forkserver", True, "0", id="forkserver-sweep-noise"),
+        pytest.param("spawn", True, "0", id="spawn-sweep-noise"),
     ])
     def test_jobs_match_under_start_method(self, trained, tmp_path, monkeypatch,
-                                           method, sweep):
+                                           method, sweep, iterations):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method} is not available here")
         root, arch, model_path = trained
-        argv = ["eval", model_path, root, "--size", "32", "--iterations", "1",
+        argv = ["eval", model_path, root, "--size", "32", "--iterations", iterations,
                 "--patch-size", "9"]
         if sweep:  # each task then carries every swept model
             argv += ["--archive", arch, "--sweep-dim", "2,3"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import filtered_noise, grating, vector_matrix
 from texlat import hppca, pss, synthesis
@@ -306,6 +308,29 @@ class TestSampleGrid:
             synthesis.sample_grid_tss(img[1:], source, 9)
         with pytest.raises(ValueError, match="9px samples, not 8px"):
             synthesis.sample_grid_tss(img, terms, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, p=9, extra=11, zero_rows=14, moments=[(-127.0, 40.0)])
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 9), extra=st.integers(0, 20),
+           zero_rows=st.integers(0, 24),
+           moments=st.lists(st.tuples(st.floats(-300, 300), st.floats(0, 100)),
+                            min_size=1, max_size=4))
+    def test_moments_score_like_their_samples(self, seed, p, extra, zero_rows, moments):
+        # p >= 2: a 1 px tile's FFT correlation alone is 3e-14 off its exact cosine of 1
+        # besides the drawn pairs: std = 0, and mean = std = 0, which scores exactly 0
+        moments = moments + [(moments[0][0], 0.0), (0.0, 0.0)]
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((p + extra, p + extra))
+        source = rng.uniform(1, 255, size=(p + 15, p + 12))
+        source[:zero_rows] = 0.0  # zero-norm windows once zero_rows >= p
+        terms = synthesis.SourceTerms(source, p)
+        scores, count = synthesis.sample_grid_tss(noise, terms, p, moments)
+        assert len(scores) == len(moments)
+        for (mean, std), score in zip(moments, scores):
+            expect, tiles = synthesis.sample_grid_tss(mean + std * noise, terms, p)
+            assert abs(score - expect) <= 1e-14
+            assert tiles == count
+        assert scores[-1] == 0.0
 
     def test_patch_larger_than_image_rejected(self, rng):
         with pytest.raises(ValueError):
