@@ -119,11 +119,8 @@ def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
 def decode_batch(model: HppcaModel, codes: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
     inter = ppca.decode(model.final_model, z)
-    parts, pos = [], 0
-    for g in model.group_models:
-        parts.append(ppca.decode(g, inter[:, pos:pos + g.q]))
-        pos += g.q
-    return np.hstack(parts)
+    parts = np.split(inter, np.cumsum(model.group_dims)[:-1], axis=1)
+    return np.hstack([ppca.decode(g, part) for g, part in zip(model.group_models, parts)])
 
 
 def encode(model: HppcaModel, v: PssVector) -> np.ndarray:

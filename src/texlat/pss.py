@@ -22,7 +22,8 @@ moment conventions throughout):
          high-pass reconstructions                                (NK+2)
     C10  variance of the high-pass reconstruction                     (1)
 
-At the default parameters (4, 4, 7) the vector has 1784 entries.
+At the default parameters (4, 4, 7) the vector has 1784 entries. The
+forward pass writes each group into its own `PssParams.group_slice`.
 
 Every "reconstruction" is the input passed through one real transfer of
 `pyramid.TransferStack`. C3, C4, C6, C7, C9 and C10 are quadratic (C9:
@@ -250,19 +251,6 @@ def _interp_block(spec, small):
     return spec[:, q:q + small + 1, q:q + small + 1]
 
 
-def _c67_index(n_sc, n_or):
-    """(rows, cols) into rho20 of every C6 then C7 entry, in vector order.
-
-    Row lev*K + k of the reconstruction stack is orientation k at level
-    lev (0-based), the oriented low-pass split being level N.
-    """
-    pos = np.arange((n_sc + 1) * n_or).reshape(n_sc + 1, n_or)
-    rows6, cols6 = np.broadcast_arrays(pos[:, :, None], pos[:, None, :])
-    rows7, cols7 = np.broadcast_arrays(pos[:n_sc, None, :, None], pos[None, :, None, :])
-    return (np.concatenate([rows6.ravel(), rows7.ravel()]),
-            np.concatenate([cols6.ravel(), cols7.ravel()]))
-
-
 # --------------------------------------------------------------------------
 # forward pass
 
@@ -271,8 +259,8 @@ class _Cache:
 
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
-                 "mag_spec", "mag_var", "rho5", "interp", "cross", "var20",
-                 "ok20", "rho20", "idx67")
+                 "mag_spec", "mag_var", "c8", "interp", "var20", "ok20",
+                 "rho20")
 
 
 def check_size(size: int, params: PssParams) -> None:
@@ -304,15 +292,15 @@ def _forward(img, params: PssParams):
     cc.bands = [stack.band_grid(spec, n + 1) for n in range(n_sc)]
     cc.mags = [np.abs(b) for b in cc.bands]
 
-    values = []
+    out = np.empty(pss_dim(params))
+    at = [out[params.group_slice(i)] for i in range(1, 11)]
 
     skew, kurt, cc.aux1 = _skew_kurt(a)
-    values += [a.mean(), cc.aux1[1], skew, kurt, a.min(), a.max()]
+    at[0][:] = a.mean(), cc.aux1[1], skew, kurt, a.min(), a.max()
 
-    cc.aux2 = []
-    for t in (*stack.scale_recon, stack.low_recon):
-        s, k, aux = _skew_kurt(_irfft(t * _crop(spec, t.shape[0]), size))
-        values += [s, k]
+    cc.aux2, c2 = [], at[1].reshape(n_sc + 1, 2)
+    for i, t in enumerate((*stack.scale_recon, stack.low_recon)):
+        c2[i, 0], c2[i, 1], aux = _skew_kurt(_irfft(t * _crop(spec, t.shape[0]), size))
         cc.aux2.append(aux)
 
     # C3 + C4 lag maps of the power-weighted transfers and the C6 + C7
@@ -329,19 +317,20 @@ def _forward(img, params: PssParams):
         cov[:lev.stop, lev] = (t * pw.ravel()) @ t[lev].T / npix ** 2
         cov[lev, :lev.stop] = cov[:lev.stop, lev].T
 
-    # C3 + C4: each lag map normalized by its lag 0
+    # C3 + C4, adjacent in the vector: each lag map normalized by its lag 0
     c0 = lag[:, m // 2, m // 2].copy()
     ok = c0 / npix >= VAR_EPS
     c0[~ok] = 1.0
     cc.lag_scale = np.where(ok, npix / c0, 0.0)
     cc.acorr = lag / c0[:, None, None]
     cc.acorr[~ok] = 0.0
-    values += cc.acorr.ravel().tolist()
+    out[params.group_slice(3).start:params.group_slice(4).stop] = cc.acorr.ravel()
 
-    # C5: magnitude correlations within each scale. By Parseval each
-    # covariance is an inner product of two grids' spectra; the zeroed DC
+    # C5 + C8: magnitude correlations, C5 the diagonal blocks of C8. By Parseval
+    # each covariance is an inner product of two grids' spectra; the zeroed DC
     # bin removes each grid's mean
-    cc.mag_spec, cc.mag_var, cc.rho5 = [_rfft(mg) for mg in cc.mags], [], []
+    cc.mag_spec, cc.mag_var = [_rfft(mg) for mg in cc.mags], []
+    cc.c8 = np.empty((n_sc, n_sc, n_or, n_or))
     for n, ms in enumerate(cc.mag_spec):
         side = size >> n
         ms[:, side // 2, side // 2] = 0.0
@@ -349,45 +338,41 @@ def _forward(img, params: PssParams):
         cov5 = r @ r.T / side ** 4
         var = np.diag(cov5).copy()
         cc.mag_var.append((var, var >= VAR_EPS))
-        cc.rho5.append(_cov_to_corr(cov5, *cc.mag_var[n], *cc.mag_var[n]))
-        values += cc.rho5[n].ravel().tolist()
+        cc.c8[n, n] = _cov_to_corr(cov5, *cc.mag_var[n], *cc.mag_var[n])
 
-    # C6 + C7: correlations of the oriented reconstructions
-    cc.var20 = np.diag(cov).copy()
-    cc.ok20 = cc.var20 >= VAR_EPS
-    cc.rho20 = _cov_to_corr(cov, cc.var20, cc.ok20, cc.var20, cc.ok20)
-    cc.idx67 = _c67_index(n_sc, n_or)
-    values += cc.rho20[cc.idx67].tolist()
-
-    # C8 across scales: coarser magnitudes interpolated onto the finer grid,
+    # across scales: coarser magnitudes interpolated onto the finer grid,
     # an inner product over the (sc+1)-square block the interpolant occupies
-    cc.interp, cc.cross = {}, {}
+    cc.interp = {}
     for coarse in range(1, n_sc):
         u = _interp_spectra(cc.mag_spec[coarse]).reshape(n_or, -1)
         varb = np.sum(_ri(u) ** 2, axis=1)
         cc.interp[coarse] = u, varb, varb >= VAR_EPS
         for fine in range(coarse):
             a = _interp_block(cc.mag_spec[fine], size >> coarse).reshape(n_or, -1)
-            cc.cross[coarse, fine] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
-                                                  *cc.mag_var[fine], *cc.interp[coarse][1:])
-    for sa in range(n_sc):
-        for sb in range(n_sc):
-            if sa == sb:
-                values += cc.rho5[sa].ravel().tolist()
-            elif sa < sb:
-                values += cc.cross[sb, sa].ravel().tolist()
-            else:
-                values += cc.cross[sa, sb].T.ravel().tolist()
+            cc.c8[fine, coarse] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
+                                               *cc.mag_var[fine], *cc.interp[coarse][1:])
+            cc.c8[coarse, fine] = cc.c8[fine, coarse].T
+    at[4][:] = cc.c8[range(n_sc), range(n_sc)].ravel()
+    at[7][:] = cc.c8.ravel()
+
+    # C6 + C7: correlations of the oriented reconstructions, rho20 row lev*K + k
+    # being orientation k at level lev, the oriented low-pass split level N
+    cc.var20 = np.diag(cov).copy()
+    cc.ok20 = cc.var20 >= VAR_EPS
+    cc.rho20 = _cov_to_corr(cov, cc.var20, cc.ok20, cc.var20, cc.ok20)
+    r4 = cc.rho20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)
+    at[5][:] = r4[range(n_sc + 1), :, range(n_sc + 1)].ravel()
+    at[6][:] = r4[:n_sc].transpose(0, 2, 1, 3).ravel()
 
     # C9: a filtered image's mean is its transfer's DC gain times the input
     # mean, and that gain is 0 for bands and high-pass, 1 for the low-pass
     # (0.0 * mean, not 0.0: a zero gain keeps the sign of a negative mean)
     mean = spec[dc, dc].real / npix
-    values += [0.0 * mean] * (n_sc * n_or) + [mean, 0.0 * mean]
+    at[8][:] = 0.0 * mean
+    at[8][-2] = mean
 
-    values.append(np.sum(stack.high_recon ** 2 * power) / npix ** 2)
+    at[9][0] = np.sum(stack.high_recon ** 2 * power) / npix ** 2
 
-    out = np.asarray(values, dtype=np.float64)
     if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise NumericError(f"non-finite statistic at flat index {bad}")
@@ -422,10 +407,13 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     # C3, C4, C6, C7 and C10 are (1/npix^2) sum(w * power); collect one w,
     # the terms of each level on its crop
     cos, sin = cc.lag_basis
-    gl = np.concatenate([g[2], g[3]]).reshape(-1, m, m) * cc.lag_scale[:, None, None]
+    g34 = dvalues[params.group_slice(3).start:params.group_slice(4).stop]
+    gl = g34.reshape(-1, m, m) * cc.lag_scale[:, None, None]
     g0 = (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
     g20 = np.zeros_like(cc.rho20)
-    np.add.at(g20, cc.idx67, np.concatenate([g[5], g[6]]))
+    g4 = g20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)  # the forward's C6 then C7 views
+    g4[range(n_sc + 1), :, range(n_sc + 1)] += g[5].reshape(n_sc + 1, n_or, n_or)
+    g4[:n_sc] += g[6].reshape(n_sc, n_sc + 1, n_or, n_or).transpose(0, 2, 1, 3)
     mix, da, db = _corr_weights(cc.var20, cc.ok20, cc.var20, cc.ok20, cc.rho20, g20)
     mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
     weight = g[9][0] * stack.high_recon ** 2
@@ -454,24 +442,25 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     g8 = g[7].reshape(n_sc, n_sc, n_or, n_or)
     cot_spec = [np.zeros_like(ms) for ms in cc.mag_spec]
     dvar = [0.0] * n_sc
-    for (coarse, fine), rho in cc.cross.items():
+    for coarse in range(1, n_sc):
         u, varb, okb = cc.interp[coarse]
-        vara, oka = cc.mag_var[fine]
-        w, da, db = _corr_weights(vara, oka, varb, okb, rho,
-                                  g8[fine, coarse] + g8[coarse, fine].T)
-        dvar[fine] = dvar[fine] + da
-        a = _interp_block(cc.mag_spec[fine], size >> coarse)
-        blk = _interp_block(cot_spec[fine], size >> coarse)
-        blk += (w @ _ri(u)).view(complex).reshape(a.shape)
-        u_cot = (w.T @ _ri(a.reshape(n_or, -1))).view(complex) / (size >> fine) ** 2
-        u_cot -= db[:, None] * u
-        cot_spec[coarse] += u_cot.reshape(a.shape)[:, :-1, :-1]
+        for fine in range(coarse):
+            vara, oka = cc.mag_var[fine]
+            w, da, db = _corr_weights(vara, oka, varb, okb, cc.c8[fine, coarse],
+                                      g8[fine, coarse] + g8[coarse, fine].T)
+            dvar[fine] = dvar[fine] + da
+            a = _interp_block(cc.mag_spec[fine], size >> coarse)
+            blk = _interp_block(cot_spec[fine], size >> coarse)
+            blk += (w @ _ri(u)).view(complex).reshape(a.shape)
+            u_cot = (w.T @ _ri(a.reshape(n_or, -1))).view(complex) / (size >> fine) ** 2
+            u_cot -= db[:, None] * u
+            cot_spec[coarse] += u_cot.reshape(a.shape)[:, :-1, :-1]
 
     # C5 + same-scale C8 entries join the same spectral cotangents; then
     # magnitude cotangents -> complex band cotangents -> analysis adjoint,
     # whose zero-padded band spectrum only fills the central crop
     for n, (ms, (var, ok)) in enumerate(zip(cc.mag_spec, cc.mag_var)):
-        w, da, db = _corr_weights(var, ok, var, ok, cc.rho5[n], g5[n] + g8[n, n])
+        w, da, db = _corr_weights(var, ok, var, ok, cc.c8[n, n], g5[n] + g8[n, n])
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)

@@ -122,14 +122,12 @@ def _unit_noise(cfg: SynthesisConfig) -> np.ndarray:
     return np.random.default_rng(cfg.seed).standard_normal((cfg.size, cfg.size))
 
 
-def initial_image(target: PssVector, cfg: SynthesisConfig,
-                  noise: np.ndarray | None = None) -> np.ndarray:
+def initial_image(target: PssVector, cfg: SynthesisConfig) -> np.ndarray:
     """Seeded Gaussian noise of side cfg.size with the target's C1 mean and
     variance: where synthesis starts, and the sample eval scores at zero
-    iterations. `noise` is _unit_noise(cfg) when given, so that one draw
-    serves every target of one seed."""
+    iterations."""
     mean, std = _noise_moments(target)
-    return mean + std * (_unit_noise(cfg) if noise is None else noise)
+    return mean + std * _unit_noise(cfg)
 
 
 def _noise_moments(target: PssVector):
@@ -257,9 +255,10 @@ def _correlate(s, terms: SourceTerms) -> np.ndarray:
 
 
 def _cosine(q, s) -> float:
-    """The best of the correlations q of sample s over its norm; 0 for a zero sample."""
+    """The best of the correlations q of sample s over its norm; 0 for a zero sample.
+    Clipped to [-1, 1], which rounding can overstep; NaN stays NaN."""
     sn = float(np.linalg.norm(s))
-    return float(q.max()) / sn if sn > 0 else 0.0
+    return float(np.clip(q.max() / sn, -1.0, 1.0)) if sn > 0 else 0.0
 
 
 def tss(sample, source) -> TssReport:
@@ -338,7 +337,6 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
     terms = SourceTerms(a, patch_size)
-    noise = _unit_noise(run_cfg)
     rels, scored, moments = [], [], []
     for model in models:
         decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
@@ -350,10 +348,10 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
         if cfg.iterations == 0:
             moments.append(_noise_moments(decoded))
         else:
-            synth, _ = synthesize(decoded, run_cfg, initial_image(decoded, run_cfg, noise))
+            synth, _ = synthesize(decoded, run_cfg)
             scored.append(sample_grid_tss(synth, terms, patch_size))
     if moments:
-        scores, count = sample_grid_tss(noise, terms, patch_size, moments)
+        scores, count = sample_grid_tss(_unit_noise(run_cfg), terms, patch_size, moments)
         scored = [(score, count) for score in scores]
     for score, _ in scored:
         if not np.isfinite(score):

@@ -127,7 +127,23 @@ class TestStatisticValues:
         c8 = v.group(8).reshape(n, n, k, k)
         for a in range(n):
             for b in range(n):
-                np.testing.assert_allclose(c8[a, b], c8[b, a].T, atol=1e-12)
+                np.testing.assert_array_equal(c8[a, b], c8[b, a].T)
+
+    def test_c5_is_the_diagonal_of_c8(self, rng):
+        n, k = 3, 2
+        v = extract(rng.standard_normal((64, 64)) * 20 + 90, n, k, 3)
+        c5 = v.group(5).reshape(n, k, k)
+        c8 = v.group(8).reshape(n, n, k, k)
+        for s in range(n):
+            np.testing.assert_array_equal(c5[s], c8[s, s])
+
+    def test_c6_is_the_same_level_block_of_c7(self, rng):
+        n, k = 3, 2
+        v = extract(rng.standard_normal((64, 64)) * 20 + 90, n, k, 3)
+        c6 = v.group(6).reshape(n + 1, k, k)
+        c7 = v.group(7).reshape(n, n + 1, k, k)
+        for lev in range(n):
+            np.testing.assert_array_equal(c6[lev], c7[lev, lev])
 
     def test_determinism_is_bitwise(self, rng):
         img = rng.standard_normal((32, 32))

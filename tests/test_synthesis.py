@@ -244,7 +244,14 @@ class TestTss:
         for _ in range(20):
             rep = synthesis.tss(rng.standard_normal((3, 3)),
                                 rng.standard_normal((10, 12)))
-            assert abs(rep.tss) <= 1.0 + 1e-12
+            assert abs(rep.tss) <= 1.0
+
+    def test_one_pixel_source_copies_score_at_most_one(self):
+        # unclipped, rounding takes the best of these to 1.0000000000000293
+        src = np.random.default_rng(0).uniform(1, 255, (16, 13))
+        scores = [synthesis.tss(src[y:y + 1, x:x + 1], src).tss
+                  for y in range(16) for x in range(13)]
+        assert max(scores) == 1.0
 
     def test_zero_sample_scores_zero(self, rng):
         rep = synthesis.tss(np.zeros((3, 3)), rng.standard_normal((6, 6)))
@@ -284,6 +291,12 @@ class TestTss:
 
 
 class TestSampleGrid:
+    def test_one_pixel_source_grid_scores_exactly_one(self):
+        # unclipped, rounding takes either score to 1.0000000000000098
+        src = np.random.default_rng(0).uniform(1, 255, (16, 13))
+        assert synthesis.sample_grid_tss(src, src, 1) == (1.0, 16 * 13)
+        assert synthesis.sample_grid_tss(src, src, 1, [(0.0, 1.0)]) == ([1.0], 16 * 13)
+
     def test_source_copy_scores_one(self, rng):
         img = rng.uniform(1, 255, size=(32, 32))
         score, count = synthesis.sample_grid_tss(img, img, 9)
