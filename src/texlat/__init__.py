@@ -10,7 +10,7 @@ source.
 """
 
 from .image import FormatError, load_image, normalize, resize_box, save_image
-from .pyramid import Pyramid, PyramidParams, build_pyramid, collapse
+from .pyramid import Pyramid, build_pyramid, collapse
 from .pss import (NumericError, PssParams, PssVector, column_names,
                   extract_pss, load_vector, pss_dim, save_vector)
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FormatError", "load_image", "save_image", "normalize", "resize_box",
-    "PyramidParams", "Pyramid", "build_pyramid", "collapse",
+    "Pyramid", "build_pyramid", "collapse",
     "PssParams", "PssVector", "NumericError", "pss_dim",
     "extract_pss", "column_names", "save_vector", "load_vector",
     "PpcaModel", "ppca_fit", "ppca_encode", "ppca_decode",

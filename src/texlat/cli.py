@@ -230,6 +230,7 @@ def cmd_synth(args) -> int:
         if not 0 <= args.row < len(ids):
             raise ValueError(f"--row {args.row} out of range for {len(ids)} codes")
         code = codes[args.row]
+        _check_finite(code[None], lambda r, c: f"{args.code}: row {args.row + 1}, column c{c},")
         size = args.synth_size or 128
     decoded = hppca.decode(model, code)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed,
@@ -344,7 +345,7 @@ def cmd_info(args) -> int:
 
 def cmd_bands(args) -> int:
     img = image.load_image(args.input)
-    pyr = pyramid.build_pyramid(img, pyramid.PyramidParams(args.scales, args.orients))
+    pyr = pyramid.build_pyramid(img, args.scales, args.orients)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 

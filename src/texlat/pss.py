@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pyramid
-from .pyramid import PyramidParams, _crop, _ifft, _irfft, _rfft
+from .pyramid import _crop, _ifft, _irfft, _rfft
 
 VAR_EPS = 1e-12  # below this population variance, normalized stats are 0
 
@@ -77,7 +77,7 @@ class PssParams:
     neighborhood: int = 7
 
     def __post_init__(self):
-        PyramidParams(self.n_scales, self.n_orientations)
+        pyramid._validate_counts(self.n_scales, self.n_orientations)
         m = self.neighborhood
         if m < 3 or m % 2 == 0:
             raise ValueError(f"neighborhood must be odd and >= 3, got {m}")
@@ -191,20 +191,22 @@ def _lag_basis(size, m):
     return np.cos(phase), np.sin(phase)
 
 
-def _cov_to_corr(cov, vara, oka, varb, okb):
-    """Pearson matrix from a covariance matrix, rows/cols of flat images zeroed."""
+def _cov_to_corr(cov, vara, varb):
+    """Pearson matrix from a covariance matrix, rows/cols of variance < VAR_EPS zeroed."""
+    oka, okb = vara >= VAR_EPS, varb >= VAR_EPS
     rho = cov / np.sqrt(np.outer(np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)))
     rho[~oka, :] = 0.0
     rho[:, ~okb] = 0.0
     return rho
 
 
-def _corr_weights(vara, oka, varb, okb, rho, g):
+def _corr_weights(vara, varb, rho, g):
     """(w, da, db) for sum(g * rho) with rho = _cov_to_corr(cov, ...).
 
     w is its derivative by cov; -da/2 and -db/2 are those by vara and varb.
     Rows and columns of flat stacks get 0, since rho is 0 there.
     """
+    oka, okb = vara >= VAR_EPS, varb >= VAR_EPS
     vara, varb = np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)
     w = g / np.outer(np.sqrt(vara), np.sqrt(varb))
     w[~oka, :] = 0.0
@@ -259,8 +261,7 @@ class _Cache:
 
     __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
                  "lag_basis", "lag_scale", "acorr", "bands", "mags",
-                 "mag_spec", "mag_var", "c8", "interp", "var20", "ok20",
-                 "rho20")
+                 "mag_spec", "mag_var", "c8", "interp", "var20", "rho20")
 
 
 def check_size(size: int, params: PssParams) -> None:
@@ -336,21 +337,19 @@ def _forward(img, params: PssParams):
         ms[:, side // 2, side // 2] = 0.0
         r = _ri(ms.reshape(n_or, -1))
         cov5 = r @ r.T / side ** 4
-        var = np.diag(cov5).copy()
-        cc.mag_var.append((var, var >= VAR_EPS))
-        cc.c8[n, n] = _cov_to_corr(cov5, *cc.mag_var[n], *cc.mag_var[n])
+        cc.mag_var.append(np.diag(cov5).copy())
+        cc.c8[n, n] = _cov_to_corr(cov5, cc.mag_var[n], cc.mag_var[n])
 
     # across scales: coarser magnitudes interpolated onto the finer grid,
     # an inner product over the (sc+1)-square block the interpolant occupies
     cc.interp = {}
     for coarse in range(1, n_sc):
         u = _interp_spectra(cc.mag_spec[coarse]).reshape(n_or, -1)
-        varb = np.sum(_ri(u) ** 2, axis=1)
-        cc.interp[coarse] = u, varb, varb >= VAR_EPS
+        cc.interp[coarse] = u, np.sum(_ri(u) ** 2, axis=1)
         for fine in range(coarse):
             a = _interp_block(cc.mag_spec[fine], size >> coarse).reshape(n_or, -1)
             cc.c8[fine, coarse] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
-                                               *cc.mag_var[fine], *cc.interp[coarse][1:])
+                                               cc.mag_var[fine], cc.interp[coarse][1])
             cc.c8[coarse, fine] = cc.c8[fine, coarse].T
     at[4][:] = cc.c8[range(n_sc), range(n_sc)].ravel()
     at[7][:] = cc.c8.ravel()
@@ -358,8 +357,7 @@ def _forward(img, params: PssParams):
     # C6 + C7: correlations of the oriented reconstructions, rho20 row lev*K + k
     # being orientation k at level lev, the oriented low-pass split level N
     cc.var20 = np.diag(cov).copy()
-    cc.ok20 = cc.var20 >= VAR_EPS
-    cc.rho20 = _cov_to_corr(cov, cc.var20, cc.ok20, cc.var20, cc.ok20)
+    cc.rho20 = _cov_to_corr(cov, cc.var20, cc.var20)
     r4 = cc.rho20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)
     at[5][:] = r4[range(n_sc + 1), :, range(n_sc + 1)].ravel()
     at[6][:] = r4[:n_sc].transpose(0, 2, 1, 3).ravel()
@@ -414,7 +412,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     g4 = g20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)  # the forward's C6 then C7 views
     g4[range(n_sc + 1), :, range(n_sc + 1)] += g[5].reshape(n_sc + 1, n_or, n_or)
     g4[:n_sc] += g[6].reshape(n_sc, n_sc + 1, n_or, n_or).transpose(0, 2, 1, 3)
-    mix, da, db = _corr_weights(cc.var20, cc.ok20, cc.var20, cc.ok20, cc.rho20, g20)
+    mix, da, db = _corr_weights(cc.var20, cc.var20, cc.rho20, g20)
     mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
     weight = g[9][0] * stack.high_recon ** 2
     for i, (crop, rows, lev) in enumerate(_level_plan(size, n_sc, n_or)):
@@ -443,10 +441,9 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     cot_spec = [np.zeros_like(ms) for ms in cc.mag_spec]
     dvar = [0.0] * n_sc
     for coarse in range(1, n_sc):
-        u, varb, okb = cc.interp[coarse]
+        u, varb = cc.interp[coarse]
         for fine in range(coarse):
-            vara, oka = cc.mag_var[fine]
-            w, da, db = _corr_weights(vara, oka, varb, okb, cc.c8[fine, coarse],
+            w, da, db = _corr_weights(cc.mag_var[fine], varb, cc.c8[fine, coarse],
                                       g8[fine, coarse] + g8[coarse, fine].T)
             dvar[fine] = dvar[fine] + da
             a = _interp_block(cc.mag_spec[fine], size >> coarse)
@@ -459,8 +456,8 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     # C5 + same-scale C8 entries join the same spectral cotangents; then
     # magnitude cotangents -> complex band cotangents -> analysis adjoint,
     # whose zero-padded band spectrum only fills the central crop
-    for n, (ms, (var, ok)) in enumerate(zip(cc.mag_spec, cc.mag_var)):
-        w, da, db = _corr_weights(var, ok, var, ok, cc.c8[n, n], g5[n] + g8[n, n])
+    for n, (ms, var) in enumerate(zip(cc.mag_spec, cc.mag_var)):
+        w, da, db = _corr_weights(var, var, cc.c8[n, n], g5[n] + g8[n, n])
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)

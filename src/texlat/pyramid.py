@@ -8,7 +8,9 @@ kept only on the central crop outside which it is 0, so each band is that
 transfer times the same crop of the image spectrum. The filters form a
 tight frame, so synthesis is a weighted adjoint of analysis: `collapse`
 sums the weighted adjoints of every band and residual as one spectrum and
-so inverts `build_pyramid` to floating-point precision.
+so inverts `build_pyramid` to floating-point precision. A `Pyramid` is
+its arrays alone, one (K, side, side) band stack per scale and the two
+residuals, and `collapse` reads N, K and the side from their shapes.
 
 Transfer functions (polar frequency coordinates, r in radians):
 
@@ -47,32 +49,17 @@ import numpy as np
 MIN_COARSE_SIZE = 4  # smallest usable low-pass residual grid
 
 
-@dataclass(frozen=True)
-class PyramidParams:
-    """Decomposition depth and orientation count."""
-
-    n_scales: int
-    n_orientations: int
-
-    def __post_init__(self):
-        if self.n_scales < 1:
-            raise ValueError(f"n_scales must be >= 1, got {self.n_scales}")
-        if self.n_orientations < 1:
-            raise ValueError(f"n_orientations must be >= 1, got {self.n_orientations}")
-
-
 @dataclass
 class Pyramid:
-    """Complete decomposition of one image.
+    """Complete decomposition of one image; the arrays fix its geometry.
 
-    bands[n][k] holds the complex spatial coefficients of scale n+1,
-    orientation k, sampled at side/2^n. The residuals are real images:
-    the low-pass at side/2^N and the high-pass at full resolution.
+    bands[n] is the (K, side/2^n, side/2^n) stack of complex spatial
+    coefficients of scale n+1, so bands[n][k] is orientation k. The
+    residuals are real images: the low-pass at side/2^N and the high-pass
+    at full resolution, which gives the side.
     """
 
-    params: PyramidParams
-    size: int
-    bands: list[list[np.ndarray]]
+    bands: list[np.ndarray]
     lowpass_residual: np.ndarray
     highpass_residual: np.ndarray
 
@@ -128,6 +115,13 @@ def _freq_grid(size: int):
     return np.hypot(wx, wy), np.arctan2(wy, wx)
 
 
+def _validate_counts(n_scales: int, n_orientations: int) -> None:
+    if n_scales < 1:
+        raise ValueError(f"n_scales must be >= 1, got {n_scales}")
+    if n_orientations < 1:
+        raise ValueError(f"n_orientations must be >= 1, got {n_orientations}")
+
+
 def _validate_geometry(size: int, n_scales: int) -> None:
     if size < 2 or size & (size - 1):
         raise ValueError(f"image side must be a power of two, got {size}")
@@ -170,16 +164,15 @@ def _ifft(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.ifftshift(spec, axes=(-2, -1)))
 
 
-def build_pyramid(img, params: PyramidParams) -> Pyramid:
+def build_pyramid(img, n_scales: int, n_orientations: int) -> Pyramid:
     """Decompose a square power-of-two image into oriented band grids."""
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"pyramid input must be square, got shape {a.shape}")
-    stack = transfer_stack(a.shape[0], params.n_scales, params.n_orientations)
+    stack = transfer_stack(a.shape[0], n_scales, n_orientations)
     spec = _rfft(a)
-    bands = [list(stack.band_grid(spec, n)) for n in range(1, params.n_scales + 1)]
-    return Pyramid(params, a.shape[0], bands, stack.low_grid(spec),
-                   _irfft(stack.highpass0 * spec, a.shape[0]))
+    bands = [stack.band_grid(spec, n) for n in range(1, n_scales + 1)]
+    return Pyramid(bands, stack.low_grid(spec), _irfft(stack.highpass0 * spec, a.shape[0]))
 
 
 def collapse(pyr: Pyramid) -> np.ndarray:
@@ -191,27 +184,21 @@ def collapse(pyr: Pyramid) -> np.ndarray:
     completion of the half-plane band); the weighted adjoints add up in
     one centered spectrum that one inverse FFT brings back to pixels.
     """
-    params, size = pyr.params, pyr.size
-    n_sc, n_or = params.n_scales, params.n_orientations
-    if len(pyr.bands) != n_sc:
-        raise ValueError(f"pyramid has {len(pyr.bands)} scales, its parameters say {n_sc}")
-    for shape, expect, what in [(pyr.highpass_residual.shape, size, "high-pass residual"),
-                                (pyr.lowpass_residual.shape, size >> n_sc, "low-pass residual")]:
-        if shape != (expect, expect):
-            raise ValueError(f"{what} shape {shape} does not match {expect}x{expect}")
-    for n, level in enumerate(pyr.bands):
-        if len(level) != n_or:
-            raise ValueError(f"scale {n + 1} has {len(level)} bands, expected {n_or}")
-        for k, band in enumerate(level):
-            if band.shape != (size >> n,) * 2:
-                raise ValueError(f"band ({n + 1},{k}) shape {band.shape} does not match "
-                                 f"{size >> n}x{size >> n}")
+    # the side from the high-pass residual, N and K from the band stacks
+    size, n_sc = pyr.highpass_residual.shape[-1], len(pyr.bands)
+    n_or = len(pyr.bands[0]) if n_sc else 0
+    expected = [("high-pass residual", pyr.highpass_residual, (size, size)),
+                ("low-pass residual", pyr.lowpass_residual, (size >> n_sc,) * 2)]
+    expected += [(f"scale {n + 1} band stack", b, (n_or,) + (size >> n,) * 2)
+                 for n, b in enumerate(pyr.bands)]
+    for what, arr, shape in expected:
+        if arr.shape != shape:
+            raise ValueError(f"{what} shape {arr.shape} does not match {shape}")
     stack = transfer_stack(size, n_sc, n_or)
     spec = stack.highpass0 * _rfft(pyr.highpass_residual)
     _crop(spec, size >> n_sc)[...] += 4.0 ** n_sc * stack.low_grid_adjoint(pyr.lowpass_residual)
-    for n, level in enumerate(pyr.bands):
-        adjoint = stack.band_grid_adjoint(np.stack(level), n + 1)
-        _crop(spec, size >> n)[...] += 2.0 * 4.0 ** n * adjoint
+    for n, bands in enumerate(pyr.bands):
+        _crop(spec, size >> n)[...] += 2.0 * 4.0 ** n * stack.band_grid_adjoint(bands, n + 1)
     return _ifft(spec).real
 
 
@@ -239,11 +226,11 @@ class TransferStack:
     gradient both add them into one spectrum before one inverse FFT.
     """
 
-    def __init__(self, size: int, params: PyramidParams):
-        _validate_geometry(size, params.n_scales)
+    def __init__(self, size: int, n_scales: int, n_orientations: int):
+        _validate_counts(n_scales, n_orientations)
+        _validate_geometry(size, n_scales)
         self.size = size
-        self.params = params
-        n_sc, n_or = params.n_scales, params.n_orientations
+        n_sc, n_or = n_scales, n_orientations
         r_full, th_full = _freq_grid(size)
         self.highpass0 = radial_highpass(r_full / 2.0)
         self.high_recon = self.highpass0 ** 2
@@ -293,8 +280,8 @@ class TransferStack:
 
     def low_grid(self, spec: np.ndarray) -> np.ndarray:
         """Real low-pass residual at the coarsest resolution, one crop as in band_grid."""
-        side = self.low_analysis.shape[0]
-        return 0.25 ** self.params.n_scales * _irfft(self.low_analysis * _crop(spec, side), side)
+        side, n_sc = self.low_analysis.shape[0], len(self.band_analysis)
+        return 0.25 ** n_sc * _irfft(self.low_analysis * _crop(spec, side), side)
 
     def low_grid_adjoint(self, cot: np.ndarray) -> np.ndarray:
         """Adjoint of low_grid for a real cotangent grid, as a centered spectrum crop."""
@@ -303,4 +290,4 @@ class TransferStack:
 
 @lru_cache(maxsize=16)
 def transfer_stack(size: int, n_scales: int, n_orientations: int) -> TransferStack:
-    return TransferStack(size, PyramidParams(n_scales, n_orientations))
+    return TransferStack(size, n_scales, n_orientations)

@@ -42,11 +42,10 @@ def test_criterion_2_reduction_rate_arithmetic():
 
 def test_criterion_3_pyramid_reconstruction_and_filters():
     rng = np.random.default_rng(3)
-    params = pyramid.PyramidParams(4, 4)
     worst = 0.0
     for _ in range(20):
         img = rng.standard_normal((128, 128)) * 40 + 127
-        rec = pyramid.collapse(pyramid.build_pyramid(img, params))
+        rec = pyramid.collapse(pyramid.build_pyramid(img, 4, 4))
         worst = max(worst, np.linalg.norm(rec - img) / np.linalg.norm(img))
 
     r = np.linspace(0, np.pi * np.sqrt(2), 10_000)

@@ -334,12 +334,26 @@ class TestSynth:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, trained, tmp_path):
+        # a finite code whose decoded statistic overflows
         _, _, model_path = trained
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,c0,c1,c2\nx,inf,inf,inf\n")
+        bad.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n")
         code = run("synth", model_path, "--code", bad, "-o", tmp_path / "s.pgm",
                    "--iterations", "1", "--synth-size", "32")
         assert code == 3
+
+    def test_non_finite_code_row_fails_naming_row_and_column(self, trained, tmp_path,
+                                                             capsys):
+        _, _, model_path = trained
+        bad, out = tmp_path / "bad.csv", tmp_path / "s.pgm"
+        bad.write_text("id,c0,c1,c2\nx,0.5,-0.5,0.25\ny,1,nan,3\n")
+        args = ("synth", model_path, "--code", bad, "-o", out, "--iterations", "1",
+                "--synth-size", "32")
+        assert run(*args, "--row", "1") == 2
+        assert f"{bad}: row 2, column c1, is nan" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*args, "--row", "0") == 0
+        assert out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_training_feature_exits_three_not_nan(self, trained, tmp_path, capsys):

@@ -194,8 +194,7 @@ def spatial_reference(img, n_sc, n_or, m):
     rho = np.corrcoef(np.stack([im.ravel() for im in bands + oriented]))
     block = [slice(lev * n_or, (lev + 1) * n_or) for lev in range(n_sc + 1)]
     # C8: each coarser scale's magnitudes interpolated onto the finer grid
-    mags = [np.abs(level) for level in pyramid.build_pyramid(
-        img, pyramid.PyramidParams(n_sc, n_or)).bands]
+    mags = [np.abs(level) for level in pyramid.build_pyramid(img, n_sc, n_or).bands]
 
     def mag_corr(sa, sb):
         side = img.shape[0] >> min(sa, sb)
@@ -254,6 +253,27 @@ def test_circular_shift_invariance_property(seed, dy, dx, aligned):
     groups = range(1, 11) if aligned else (1, 2, 3, 4, 6, 7, 9, 10)
     for g in groups:
         assert np.abs(v1.group(g) - v2.group(g)).max() <= 1e-6, g
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), side=st.sampled_from([32, 64, 128]),
+       n=st.integers(1, 3), k=st.sampled_from([2, 4, 6]))
+def test_transposition_permutes_orientations_and_transposes_lags(seed, side, n, k):
+    # transposing the image reflects every frequency angle t to pi/2 - t, so for
+    # an even K orientation o becomes (K/2 - o) mod K and lag (dy, dx) becomes (dx, dy)
+    m = 7
+    img = np.random.default_rng(seed).standard_normal((side, side)) * 40 + 127
+    v, vt = extract(img, n, k, m), extract(img.T, n, k, m)
+    o = (k // 2 - np.arange(k)) % k
+    expect = {3: v.group(3).reshape(n, k, m, m)[:, o].transpose(0, 1, 3, 2),
+              4: v.group(4).reshape(n + 1, m, m).transpose(0, 2, 1),
+              5: v.group(5).reshape(n, k, k)[:, o][:, :, o],
+              6: v.group(6).reshape(n + 1, k, k)[:, o][:, :, o],
+              7: v.group(7).reshape(n, n + 1, k, k)[:, :, o][:, :, :, o],
+              8: v.group(8).reshape(n, n, k, k)[:, :, o][:, :, :, o]}
+    for g in range(1, 11):
+        want = expect[g].ravel() if g in expect else v.group(g)  # C1, C2, C9, C10 stay
+        assert np.abs(vt.group(g) - want).max() <= 1e-12 * np.abs(want).max(), g
 
 
 class TestSerialization:

@@ -30,10 +30,9 @@ def isolate(pyr, band=None, low=False, high=False):
     """Copy of pyr with every band and residual zeroed but the (0-based
     scale, orientation) `band` and the residuals flagged."""
     keep = lambda a, flag: a if flag else np.zeros_like(a)
-    bands = [[keep(b, (n, k) == band) for k, b in enumerate(level)]
+    bands = [np.stack([keep(b, (n, k) == band) for k, b in enumerate(level)])
              for n, level in enumerate(pyr.bands)]
-    return P.Pyramid(pyr.params, pyr.size, bands, keep(pyr.lowpass_residual, low),
-                     keep(pyr.highpass_residual, high))
+    return P.Pyramid(bands, keep(pyr.lowpass_residual, low), keep(pyr.highpass_residual, high))
 
 
 class TestRadialFilters:
@@ -91,16 +90,15 @@ class TestAngularFilters:
 class TestBuild:
     def test_grid_sizes_follow_halving(self, rng):
         img = rng.standard_normal((64, 64))
-        pyr = P.build_pyramid(img, P.PyramidParams(3, 4))
-        sizes = [level[0].shape[0] for level in pyr.bands]
-        assert sizes == [64, 32, 16]
+        pyr = P.build_pyramid(img, 3, 4)
+        assert [level.shape for level in pyr.bands] == [(4, 64, 64), (4, 32, 32), (4, 16, 16)]
         assert pyr.lowpass_residual.shape == (8, 8)
         assert pyr.highpass_residual.shape == (64, 64)
-        assert all(b.dtype == np.complex128 for lv in pyr.bands for b in lv)
+        assert all(level.dtype == np.complex128 for level in pyr.bands)
 
     def test_constant_routes_to_lowpass(self):
-        pyr = P.build_pyramid(np.full((64, 64), 5.5), P.PyramidParams(3, 4))
-        assert max(np.abs(b).max() for lv in pyr.bands for b in lv) <= 1e-10
+        pyr = P.build_pyramid(np.full((64, 64), 5.5), 3, 4)
+        assert max(np.abs(level).max() for level in pyr.bands) <= 1e-10
         np.testing.assert_allclose(pyr.lowpass_residual.mean(), 5.5, atol=1e-9)
         np.testing.assert_allclose(P.collapse(pyr), np.full((64, 64), 5.5), atol=1e-9)
 
@@ -108,7 +106,7 @@ class TestBuild:
         size = 32
         img = np.zeros((size, size))
         img[0, 0] = 1.0  # unit spectrum: bands equal their transfer kernels
-        pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
+        pyr = P.build_pyramid(img, 2, 2)
         reference, _ = recursive_analysis(img, 2, 2)
         for n in range(1, 3):
             for k in range(2):
@@ -116,37 +114,36 @@ class TestBuild:
                                            atol=1e-12)
 
     def test_geometry_errors(self, rng):
-        params = P.PyramidParams(2, 4)
         with pytest.raises(ValueError, match="square"):
-            P.build_pyramid(rng.standard_normal((32, 64)), params)
+            P.build_pyramid(rng.standard_normal((32, 64)), 2, 4)
         with pytest.raises(ValueError, match="power of two"):
-            P.build_pyramid(rng.standard_normal((48, 48)), params)
+            P.build_pyramid(rng.standard_normal((48, 48)), 2, 4)
         with pytest.raises(ValueError, match="residual"):
-            P.build_pyramid(rng.standard_normal((32, 32)), P.PyramidParams(4, 4))
+            P.build_pyramid(rng.standard_normal((32, 32)), 4, 4)
+        with pytest.raises(ValueError, match="n_scales must be >= 1, got 0"):
+            P.build_pyramid(rng.standard_normal((32, 32)), 0, 4)
+        with pytest.raises(ValueError, match="n_orientations must be >= 1, got 0"):
+            P.build_pyramid(rng.standard_normal((32, 32)), 2, 0)
 
 
 class TestPerfectReconstruction:
     def test_roundtrip_random_images(self, rng):
-        params = P.PyramidParams(4, 4)
         for _ in range(5):
             img = rng.standard_normal((128, 128)) * 40 + 127
-            rec = P.collapse(P.build_pyramid(img, params))
+            rec = P.collapse(P.build_pyramid(img, 4, 4))
             assert np.linalg.norm(rec - img) / np.linalg.norm(img) <= 1e-8
 
     @pytest.mark.parametrize("size,n,k", [(32, 2, 1), (64, 3, 6), (16, 2, 2)])
     def test_roundtrip_parameter_sweep(self, rng, size, n, k):
         img = rng.standard_normal((size, size))
-        rec = P.collapse(P.build_pyramid(img, P.PyramidParams(n, k)))
+        rec = P.collapse(P.build_pyramid(img, n, k))
         assert np.linalg.norm(rec - img) / np.linalg.norm(img) <= 1e-8
 
     def test_collapse_is_linear(self, rng):
-        params = P.PyramidParams(2, 3)
-        p1 = P.build_pyramid(rng.standard_normal((32, 32)), params)
-        p2 = P.build_pyramid(rng.standard_normal((32, 32)), params)
+        p1 = P.build_pyramid(rng.standard_normal((32, 32)), 2, 3)
+        p2 = P.build_pyramid(rng.standard_normal((32, 32)), 2, 3)
         mix = P.Pyramid(
-            params, 32,
-            [[2.0 * a + 3.0 * b for a, b in zip(la, lb)]
-             for la, lb in zip(p1.bands, p2.bands)],
+            [2.0 * a + 3.0 * b for a, b in zip(p1.bands, p2.bands)],
             2.0 * p1.lowpass_residual + 3.0 * p2.lowpass_residual,
             2.0 * p1.highpass_residual + 3.0 * p2.highpass_residual)
         np.testing.assert_allclose(
@@ -155,15 +152,17 @@ class TestPerfectReconstruction:
     def test_tampered_sizes_rejected(self, rng):
         img = rng.standard_normal((32, 32))
         for tamper, reason in [
-                (lambda p: p.bands[1].__setitem__(0, p.bands[1][0][:4, :4]),
-                 r"band \(2,0\) shape"),
-                (lambda p: p.bands.pop(), "has 1 scales"),
-                (lambda p: p.bands[0].pop(), "scale 1 has 1 bands"),
+                (lambda p: p.bands.__setitem__(1, p.bands[1][:, :4, :4]),
+                 r"scale 2 band stack shape \(2, 4, 4\) does not match \(2, 16, 16\)"),
+                (lambda p: p.bands.__setitem__(1, p.bands[1][:1]),
+                 r"scale 2 band stack shape \(1, 16, 16\) does not match \(2, 16, 16\)"),
+                (lambda p: p.bands.pop(),
+                 r"low-pass residual shape \(8, 8\) does not match \(16, 16\)"),
                 (lambda p: setattr(p, "highpass_residual", p.highpass_residual[:16]),
-                 "high-pass residual shape"),
+                 r"high-pass residual shape \(16, 32\) does not match \(32, 32\)"),
                 (lambda p: setattr(p, "lowpass_residual", p.lowpass_residual[:4, :4]),
-                 "low-pass residual shape")]:
-            pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
+                 r"low-pass residual shape \(4, 4\) does not match \(8, 8\)")]:
+            pyr = P.build_pyramid(img, 2, 2)
             tamper(pyr)
             with pytest.raises(ValueError, match=reason):
                 P.collapse(pyr)
@@ -172,8 +171,7 @@ class TestPerfectReconstruction:
 class TestBandReconstruction:
     def test_band_sum_recovers_image(self, rng):
         img = rng.standard_normal((64, 64)) * 30 + 100
-        params = P.PyramidParams(3, 4)
-        pyr = P.build_pyramid(img, params)
+        pyr = P.build_pyramid(img, 3, 4)
         total = P.collapse(isolate(pyr, low=True)) + P.collapse(isolate(pyr, high=True))
         for n in range(3):
             for k in range(4):
@@ -181,7 +179,7 @@ class TestBandReconstruction:
         assert np.linalg.norm(total - img) / np.linalg.norm(img) <= 1e-8
 
     def test_zeroed_band_reconstructs_to_zero(self, rng):
-        pyr = P.build_pyramid(rng.standard_normal((32, 32)), P.PyramidParams(2, 2))
+        pyr = P.build_pyramid(rng.standard_normal((32, 32)), 2, 2)
         pyr.bands[0][1] = np.zeros_like(pyr.bands[0][1])
         assert np.abs(P.collapse(isolate(pyr, band=(0, 1)))).max() == 0.0
 
@@ -191,7 +189,7 @@ class TestBandReconstruction:
         size = 32
         x = np.arange(size)
         img = np.tile(np.cos(np.pi / 2 * x), (size, 1))
-        pyr = P.build_pyramid(img, P.PyramidParams(1, 1))
+        pyr = P.build_pyramid(img, 1, 1)
         rec = P.collapse(isolate(pyr, band=(0, 0)))
         assert np.linalg.norm(rec - img) / np.linalg.norm(img) <= 1e-6
 
@@ -199,9 +197,8 @@ class TestBandReconstruction:
 class TestCovariance:
     def test_full_resolution_shift_covariance(self, rng):
         img = rng.standard_normal((64, 64))
-        params = P.PyramidParams(2, 4)
-        base = P.build_pyramid(img, params)
-        shifted = P.build_pyramid(np.roll(img, (5, 3), axis=(0, 1)), params)
+        base = P.build_pyramid(img, 2, 4)
+        shifted = P.build_pyramid(np.roll(img, (5, 3), axis=(0, 1)), 2, 4)
         for k in range(4):
             moved = np.roll(np.abs(base.bands[0][k]), (5, 3), axis=(0, 1))
             assert np.abs(np.abs(shifted.bands[0][k]) - moved).max() <= 1e-8
@@ -209,9 +206,8 @@ class TestCovariance:
     @pytest.mark.parametrize("k_count,perm", [(2, [1, 0]), (4, [2, 3, 0, 1])])
     def test_quarter_turn_permutes_orientation_energy(self, rng, k_count, perm):
         img = rng.standard_normal((64, 64))
-        params = P.PyramidParams(2, k_count)
-        base = P.build_pyramid(img, params)
-        rot = P.build_pyramid(np.rot90(img), params)
+        base = P.build_pyramid(img, 2, k_count)
+        rot = P.build_pyramid(np.rot90(img), 2, k_count)
         for n in range(2):
             energy = np.array([np.sum(np.abs(b) ** 2) for b in base.bands[n]])
             energy_rot = np.array([np.sum(np.abs(b) ** 2) for b in rot.bands[n]])
@@ -254,7 +250,7 @@ class TestTransferStack:
         # the statistic's round-trip transfers filter the image the way
         # analysis, then synthesis of one band or residual, does
         img = rng.standard_normal((32, 32))
-        pyr = P.build_pyramid(img, P.PyramidParams(2, 2))
+        pyr = P.build_pyramid(img, 2, 2)
         stack = P.transfer_stack(32, 2, 2)
         spec = np.fft.fftshift(np.fft.fft2(img))
         # corr_recon[1][2] is scale 2, orientation 0, on its 16 px crop
@@ -321,7 +317,7 @@ CROP_GEOMETRIES = [(size, n, k) for size in (8, 16, 32, 64, 128, 256)
 @pytest.mark.parametrize("size,n_scales,n_orientations", CROP_GEOMETRIES)
 def test_cropped_transfers_pad_to_full_formula_zero_outside_crop(size, n_scales,
                                                                  n_orientations):
-    stack = P.TransferStack(size, P.PyramidParams(n_scales, n_orientations))
+    stack = P.TransferStack(size, n_scales, n_orientations)
     levels = crop_pairs(stack, size, n_scales, n_orientations)
     k = n_orientations
     for lev, (side, pairs, own) in enumerate(levels):
