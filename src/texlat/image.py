@@ -148,10 +148,6 @@ def resize_box(img, new_w: int, new_h: int) -> np.ndarray:
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic matrix averaging n_in samples into n_out intervals."""
     scale = n_in / n_out
-    w = np.zeros((n_out, n_in))
-    for j in range(n_out):
-        lo, hi = j * scale, (j + 1) * scale
-        i0, i1 = int(np.floor(lo)), int(np.ceil(hi))
-        for i in range(i0, min(i1, n_in)):
-            w[j, i] = min(hi, i + 1) - max(lo, i)
-    return w / scale
+    j, i = np.arange(n_out)[:, None], np.arange(n_in)
+    # overlap of output interval [j, j+1) * scale with input pixel [i, i+1)
+    return np.maximum(np.minimum((j + 1) * scale, i + 1) - np.maximum(j * scale, i), 0.0) / scale

@@ -22,8 +22,10 @@ moment conventions throughout):
          high-pass reconstructions                                (NK+2)
     C10  variance of the high-pass reconstruction                     (1)
 
-At the default parameters (4, 4, 7) the vector has 1784 entries. The
-forward pass writes each group into its own `PssParams.group_slice`.
+At the default parameters (4, 4, 7) the vector has 1784 entries.
+`_group_shapes` gives each group's array shape, outermost axis first; the
+sizes, the slices, the column names and the group views `_forward` writes
+into and `_backward` reads from all derive from it.
 
 Every "reconstruction" is the input passed through one real transfer of
 `pyramid.TransferStack`. C3, C4, C6, C7, C9 and C10 are quadratic (C9:
@@ -51,6 +53,8 @@ inverse FFT brings back to pixels.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,10 +95,21 @@ class PssParams:
         return slice(start, start + sizes[group - 1])
 
 
-def group_sizes(params: PssParams) -> tuple[int, ...]:
+def _group_shapes(params: PssParams) -> tuple[tuple[int, ...], ...]:
+    """Array shape of each group, outermost axis first (scale, level, orientation, lag)."""
     n, k, m = params.n_scales, params.n_orientations, params.neighborhood
-    return (6, 2 * (n + 1), n * k * m * m, m * m * (n + 1), n * k * k,
-            k * k * (n + 1), k * k * n * (n + 1), n * n * k * k, n * k + 2, 1)
+    return ((6,), (n + 1, 2), (n, k, m * m), (n + 1, m * m), (n, k, k),
+            (n + 1, k, k), (n, n + 1, k, k), (n, n, k, k), (n * k + 2,), (1,))
+
+
+def group_sizes(params: PssParams) -> tuple[int, ...]:
+    return tuple(math.prod(shape) for shape in _group_shapes(params))
+
+
+def _group_views(vec: np.ndarray, params: PssParams) -> list[np.ndarray]:
+    """The ten groups of a flat statistic vector as views of their shapes."""
+    ends = [0, *itertools.accumulate(group_sizes(params))]
+    return [vec[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], _group_shapes(params))]
 
 
 @dataclass
@@ -119,41 +134,20 @@ def pss_dim(params: PssParams) -> int:
     return sum(group_sizes(params))
 
 
-def _level_tag(level: int, n_scales: int) -> str:
-    return f"s{level}" if level <= n_scales else "lr"
-
-
 def column_names(params: PssParams) -> list[str]:
-    """Stable per-coordinate names, e.g. C3.s2.o1.dy-3.dx2."""
+    """Stable per-coordinate names, e.g. C3.s2.o1.dy-3.dx2: each group's axis
+    labels, in the order of its `_group_shapes` axes."""
     n, k, m = params.n_scales, params.n_orientations, params.neighborhood
     h = (m - 1) // 2
-    lags = [(dy, dx) for dy in range(-h, h + 1) for dx in range(-h, h + 1)]
-    names = ["C1.mean", "C1.var", "C1.skew", "C1.kurt", "C1.min", "C1.max"]
-    for lev in range(1, n + 2):
-        tag = _level_tag(lev, n)
-        names += [f"C2.{tag}.skew", f"C2.{tag}.kurt"]
-    for sc in range(1, n + 1):
-        for o in range(k):
-            names += [f"C3.s{sc}.o{o}.dy{dy}.dx{dx}" for dy, dx in lags]
-    for lev in range(1, n + 2):
-        tag = _level_tag(lev, n)
-        names += [f"C4.{tag}.dy{dy}.dx{dx}" for dy, dx in lags]
-    for sc in range(1, n + 1):
-        names += [f"C5.s{sc}.o{a}.o{b}" for a in range(k) for b in range(k)]
-    for lev in range(1, n + 2):
-        tag = _level_tag(lev, n)
-        names += [f"C6.{tag}.o{a}.o{b}" for a in range(k) for b in range(k)]
-    for sc in range(1, n + 1):
-        for lev in range(1, n + 2):
-            tag = _level_tag(lev, n)
-            names += [f"C7.s{sc}.{tag}.o{a}.o{b}" for a in range(k) for b in range(k)]
-    for sa in range(1, n + 1):
-        for sb in range(1, n + 1):
-            names += [f"C8.s{sa}.s{sb}.o{a}.o{b}" for a in range(k) for b in range(k)]
-    for sc in range(1, n + 1):
-        names += [f"C9.s{sc}.o{o}" for o in range(k)]
-    names += ["C9.lr", "C9.hr", "C10.hr.var"]
-    return names
+    sc = [f"s{i}" for i in range(1, n + 1)]
+    lev, ori = sc + ["lr"], [f"o{i}" for i in range(k)]
+    lags = [f"dy{dy}.dx{dx}" for dy in range(-h, h + 1) for dx in range(-h, h + 1)]
+    axes = ([["mean", "var", "skew", "kurt", "min", "max"]], [lev, ["skew", "kurt"]],
+            [sc, ori, lags], [lev, lags], [sc, ori, ori], [lev, ori, ori],
+            [sc, lev, ori, ori], [sc, sc, ori, ori],
+            [[f"{s}.{o}" for s in sc for o in ori] + ["lr", "hr"]], [["hr.var"]])
+    return [".".join((f"C{g}", *label)) for g, labels in enumerate(axes, 1)
+            for label in itertools.product(*labels)]
 
 
 # --------------------------------------------------------------------------
@@ -232,8 +226,11 @@ def _interp_spectra(spec):
     """Band-limited interpolation spectra of (K, s, s) DC-free grid spectra.
 
     On a finer grid of side f the real interpolant has f^2 times this
-    (K, s+1, s+1) block as the center of its spectrum: the Nyquist row
-    and column split evenly between -s/2 and +s/2.
+    (K, s+1, s+1) block as the center of its spectrum. The Nyquist row
+    and column split evenly between -s/2 and +s/2, but the corner
+    coefficient goes half to (-s/2, -s/2) and half to (+s/2, +s/2), and
+    the corners (-s/2, +s/2) and (+s/2, -s/2) get nothing, so a quarter
+    turn of the grid does not turn its interpolant.
     """
     k, s = spec.shape[:2]
     e = np.zeros((k, s + 1, s + 1), dtype=complex)
@@ -294,14 +291,14 @@ def _forward(img, params: PssParams):
     cc.mags = [np.abs(b) for b in cc.bands]
 
     out = np.empty(pss_dim(params))
-    at = [out[params.group_slice(i)] for i in range(1, 11)]
+    at = _group_views(out, params)
 
     skew, kurt, cc.aux1 = _skew_kurt(a)
     at[0][:] = a.mean(), cc.aux1[1], skew, kurt, a.min(), a.max()
 
-    cc.aux2, c2 = [], at[1].reshape(n_sc + 1, 2)
+    cc.aux2 = []
     for i, t in enumerate((*stack.scale_recon, stack.low_recon)):
-        c2[i, 0], c2[i, 1], aux = _skew_kurt(_irfft(t * _crop(spec, t.shape[0]), size))
+        at[1][i, 0], at[1][i, 1], aux = _skew_kurt(_irfft(t * _crop(spec, t.shape[0]), size))
         cc.aux2.append(aux)
 
     # C3 + C4 lag maps of the power-weighted transfers and the C6 + C7
@@ -351,16 +348,16 @@ def _forward(img, params: PssParams):
             cc.c8[fine, coarse] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
                                                cc.mag_var[fine], cc.interp[coarse][1])
             cc.c8[coarse, fine] = cc.c8[fine, coarse].T
-    at[4][:] = cc.c8[range(n_sc), range(n_sc)].ravel()
-    at[7][:] = cc.c8.ravel()
+    at[4][:] = cc.c8[range(n_sc), range(n_sc)]
+    at[7][:] = cc.c8
 
     # C6 + C7: correlations of the oriented reconstructions, rho20 row lev*K + k
     # being orientation k at level lev, the oriented low-pass split level N
     cc.var20 = np.diag(cov).copy()
     cc.rho20 = _cov_to_corr(cov, cc.var20, cc.var20)
     r4 = cc.rho20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)
-    at[5][:] = r4[range(n_sc + 1), :, range(n_sc + 1)].ravel()
-    at[6][:] = r4[:n_sc].transpose(0, 2, 1, 3).ravel()
+    at[5][:] = r4[range(n_sc + 1), :, range(n_sc + 1)]
+    at[6][:] = r4[:n_sc].transpose(0, 2, 1, 3)
 
     # C9: a filtered image's mean is its transfer's DC gain times the input
     # mean, and that gain is 0 for bands and high-pass, 1 for the low-pass
@@ -390,7 +387,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. input pixels of sum(dvalues * statistics)."""
     params, size, stack = cc.params, cc.size, cc.stack
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
-    g = [dvalues[params.group_slice(i)] for i in range(1, 11)]
+    g = _group_views(dvalues, params)
     npix, dc = size * size, size // 2
 
     # C1 raw-pixel moments and extrema; the C1 mean and the low-pass C9 mean
@@ -410,8 +407,8 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     g0 = (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
     g20 = np.zeros_like(cc.rho20)
     g4 = g20.reshape(n_sc + 1, n_or, n_sc + 1, n_or)  # the forward's C6 then C7 views
-    g4[range(n_sc + 1), :, range(n_sc + 1)] += g[5].reshape(n_sc + 1, n_or, n_or)
-    g4[:n_sc] += g[6].reshape(n_sc, n_sc + 1, n_or, n_or).transpose(0, 2, 1, 3)
+    g4[range(n_sc + 1), :, range(n_sc + 1)] += g[5]
+    g4[:n_sc] += g[6].transpose(0, 2, 1, 3)
     mix, da, db = _corr_weights(cc.var20, cc.var20, cc.rho20, g20)
     mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
     weight = g[9][0] * stack.high_recon ** 2
@@ -429,22 +426,19 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     spec_cot = (2.0 / npix) * weight * cc.spec
 
     # C2: per-level moments through the level transfers
-    g2 = g[1].reshape(n_sc + 1, 2)
-    for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g2):
+    for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g[1]):
         inner = _crop(spec_cot, t.shape[0])
         inner += t * _rfft(_skew_kurt_backward(aux, gs, gk), t.shape[0])
 
     # cross-scale C8 entries: the forward's spectral inner products,
     # differentiated; each grid's spectral cotangent is summed first
-    g5 = g[4].reshape(n_sc, n_or, n_or)
-    g8 = g[7].reshape(n_sc, n_sc, n_or, n_or)
     cot_spec = [np.zeros_like(ms) for ms in cc.mag_spec]
     dvar = [0.0] * n_sc
     for coarse in range(1, n_sc):
         u, varb = cc.interp[coarse]
         for fine in range(coarse):
             w, da, db = _corr_weights(cc.mag_var[fine], varb, cc.c8[fine, coarse],
-                                      g8[fine, coarse] + g8[coarse, fine].T)
+                                      g[7][fine, coarse] + g[7][coarse, fine].T)
             dvar[fine] = dvar[fine] + da
             a = _interp_block(cc.mag_spec[fine], size >> coarse)
             blk = _interp_block(cot_spec[fine], size >> coarse)
@@ -457,7 +451,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     # magnitude cotangents -> complex band cotangents -> analysis adjoint,
     # whose zero-padded band spectrum only fills the central crop
     for n, (ms, var) in enumerate(zip(cc.mag_spec, cc.mag_var)):
-        w, da, db = _corr_weights(var, var, cc.c8[n, n], g5[n] + g8[n, n])
+        w, da, db = _corr_weights(var, var, cc.c8[n, n], g[4][n] + g[7][n, n])
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)

@@ -93,6 +93,19 @@ def test_info_on_other_version_exits_two_naming_both(valid_files, tmp_path, caps
     assert "version mismatch: file has 9, this build reads 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("magic", sorted(CONTAINERS))
+def test_huge_header_counts_fail_fast(valid_files, tmp_path, capsys, magic):
+    # a layout of ~1e39 entries: sizing it must stay arithmetic, never enumerate it
+    raw = bytearray(valid_files[1][magic])
+    raw[8:20] = struct.pack("<3I", 0xFF000001, 0xFF000001, 0xFF000003)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt container"):
+        CONTAINERS[magic][1](path)
+    assert cli.main(["info", str(path)]) == 2
+    assert "corrupt container" in capsys.readouterr().err
+
+
 @settings(max_examples=60, deadline=None)
 @given(magic=st.sampled_from(sorted(CONTAINERS)), where=st.floats(0.0, 1.0, exclude_max=True),
        mask=st.integers(1, 255))
@@ -206,3 +219,22 @@ def test_formats_and_column_names_are_pinned(tmp_path):
            for name in ("a.pssa", "m.hpca", "v.pssv")}
     got["columns"] = hashlib.sha256("\n".join(pss.column_names(params)).encode()).hexdigest()
     assert got == FORMAT_SHA256
+
+
+# the same pin at other parameters, where every axis has its own length
+COLUMN_SHA256 = {
+    (1, 1, 3): "9ab7c7c259632f482159bed4f7dfb46dd63f082f6895aa1cd43314bd5329baec",
+    (2, 3, 5): "97971d6727114c04e82ee446d55099096151aceba6d5852ea98ed9610003f8fc",
+    (3, 6, 9): "f0764221bdce6a0227c529392c3e0d6f54552720090b83fd0d36c51308fc8771",
+    (4, 2, 7): "c7d8c01f2e839f710113e052770b6ed0b6dae5aa5e487bcbd7e09102da3bf8a6",
+}
+
+
+@pytest.mark.parametrize("n,k,m", sorted(COLUMN_SHA256))
+def test_column_names_are_pinned_at_other_parameters(n, k, m):
+    params = PssParams(n, k, m)
+    names = pss.column_names(params)
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == COLUMN_SHA256[n, k, m]
+    for g in range(1, 11):
+        tagged = [i for i, name in enumerate(names) if name.startswith(f"C{g}.")]
+        assert tagged == list(range(pss.pss_dim(params)))[params.group_slice(g)]
