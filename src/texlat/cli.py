@@ -75,12 +75,29 @@ def _check_output(matrix, ids, what) -> None:
         raise pss.NumericError(f"{what} of {ids[int(np.argmax(bad))]!r} is not finite")
 
 
-def _load_archive(path) -> ar.FeatureArchive:
-    """An archive whose records are all finite, so fits and codes are too."""
+def _load_archive(path, params=None) -> ar.FeatureArchive:
+    """An archive whose records are all finite, so fits and codes are too,
+    and, given the model's `params`, whose records have its layout."""
     arch = ar.load_archive(path)
     _check_finite(arch.features, lambda r, c: f"{path}: record {arch.ids[r]!r}, column "
                                               f"{pss.column_names(arch.params)[c]},")
+    if params is not None and arch.params != params:
+        raise ValueError("archive parameters do not match the model")
     return arch
+
+
+def _dataset(args):
+    """The class names and the (label, class, file) list of the chosen split;
+    a class with no file in the split is an error."""
+    manifest = ar.discover_dataset(args.dataset, args.manifest,
+                                   args.train_count, args.eval_count)
+    files = []
+    for label, cls in enumerate(manifest.classes):
+        split = manifest.split(cls, args.split)
+        if not split:
+            raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
+        files += [(label, cls, f) for f in split]
+    return list(manifest.classes), files
 
 
 def _pmap(fn, items, jobs: int):
@@ -107,15 +124,9 @@ def cmd_extract(args) -> int:
     params = pss.PssParams(args.scales, args.orients, args.neighbor)
     if args.size:  # one message for a geometry every image would fail
         pss.check_size(args.size, params)
-    manifest = ar.discover_dataset(args.dataset, args.manifest,
-                                   args.train_count, args.eval_count)
-    tasks = []
-    for label, cls in enumerate(manifest.classes):
-        files = manifest.split(cls, args.split)
-        if not files:
-            raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
-        tasks += [(label, f"{cls}/{f.name}", f, args.size, params) for f in files]
-    log.info("extracting %d images from %d classes", len(tasks), len(manifest.classes))
+    classes, files = _dataset(args)
+    tasks = [(label, f"{cls}/{f.name}", f, args.size, params) for label, cls, f in files]
+    log.info("extracting %d images from %d classes", len(tasks), len(classes))
 
     results = _pmap(_extract_one, tasks, args.jobs)
     failures = [err for *_, err in results if err]
@@ -124,7 +135,7 @@ def cmd_extract(args) -> int:
         print(f"error: {err}", file=sys.stderr)
     if good:
         feats = np.stack([vals for *_, vals in good])
-        arch = ar.FeatureArchive(params, list(manifest.classes),
+        arch = ar.FeatureArchive(params, classes,
                                  np.array([lab for lab, *_ in good], dtype=np.int32),
                                  [ident for _, ident, _ in good], feats)
         ar.save_archive(arch, args.output)
@@ -180,9 +191,7 @@ def _load_codes(path):
 def cmd_encode(args) -> int:
     model = hppca.load_model(args.model)
     if len(args.inputs) == 1 and args.inputs[0].endswith(".pssa"):
-        arch = _load_archive(args.inputs[0])
-        if arch.params != model.params:
-            raise ValueError("archive parameters do not match the model")
+        arch = _load_archive(args.inputs[0], model.params)
         ids, feats = arch.ids, arch.features
     else:
         ids = list(args.inputs)
@@ -261,25 +270,15 @@ def cmd_eval(args) -> int:
         if not 0 < r <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {r}")
     model = hppca.load_model(args.model)
-    manifest = ar.discover_dataset(args.dataset, args.manifest,
-                                   args.train_count, args.eval_count)
-    items, classes = [], []
-    for cls in manifest.classes:
-        files = manifest.split(cls, args.split)
-        if not files:
-            raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
-        for f in files:
-            items.append((f"{cls}/{f.name}", _prepare_image(f, args.size)))
-            classes.append(cls)
+    class_names, files = _dataset(args)
+    items = [(f"{cls}/{f.name}", _prepare_image(f, args.size)) for _, cls, f in files]
     log.info("evaluating %d images", len(items))
 
     sweeps: list[tuple[str, hppca.HppcaModel]] = []
     if args.sweep_dim or args.sweep_ccr:
         if not args.archive:
             raise ValueError("sweeps need --archive to refit the model")
-        arch = _load_archive(args.archive)
-        if arch.params != model.params:
-            raise ValueError("archive parameters do not match the model")
+        arch = _load_archive(args.archive, model.params)
         spectra = hppca.GroupSpectra(arch.features, arch.params)  # shared by every refit
         for d in args.sweep_dim or []:
             sweeps.append((str(d), hppca.fit_hierarchy(
@@ -290,7 +289,6 @@ def cmd_eval(args) -> int:
     else:
         sweeps.append((str(model.output_dim), model))
 
-    class_names = list(manifest.classes)
     header = (["value"] + [f"tss_{c}" for c in class_names]
               + ["tss_all", "pss_err_all"])
     # one task per image, scored against every swept model; the partial
@@ -301,7 +299,7 @@ def cmd_eval(args) -> int:
     for j, (value, _) in enumerate(sweeps):
         rows = [image_rows[j] for image_rows in per_image]
         by_class = {c: [] for c in class_names}
-        for cls, row in zip(classes, rows):
+        for (_, cls, _), row in zip(files, rows):
             by_class[cls].append(row.tss)
         mean_all = float(np.mean([r.tss for r in rows]))
         err_all = float(np.mean([r.pss_rel_err for r in rows]))

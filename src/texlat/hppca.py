@@ -92,15 +92,13 @@ def fit_hierarchy(matrix, threshold: float, output_dim: int, params: PssParams) 
     if output_dim < 1:
         raise ValueError(f"output dimension must be >= 1, got {output_dim}")
 
-    groups, latents = [], []
-    for (mu, eigvals, vecs), block in zip(spectra.groups, spectra.blocks):
+    groups = []
+    for mu, eigvals, vecs in spectra.groups:
         # a degenerate group keeps one latent that is always zero
         q = ppca.choose_dim(eigvals, threshold) if eigvals.sum() > 0 else 1
-        model = ppca._model_from_eig(mu, eigvals, vecs, q)
-        groups.append(model)
-        latents.append(ppca.encode(model, block))
+        groups.append(ppca._model_from_eig(mu, eigvals, vecs, q))
 
-    intermediate = np.hstack(latents)
+    intermediate = _group_latents(groups, spectra.blocks)
     if output_dim > intermediate.shape[1]:
         raise ValueError(
             f"output dimension {output_dim} exceeds the {intermediate.shape[1]}"
@@ -109,11 +107,15 @@ def fit_hierarchy(matrix, threshold: float, output_dim: int, params: PssParams) 
     return HppcaModel(groups, final, params, threshold)
 
 
+def _group_latents(groups: list[PpcaModel], blocks) -> np.ndarray:
+    """The intermediate vectors, which the final stage is fit on and encodes."""
+    return np.hstack([ppca.encode(g, block) for g, block in zip(groups, blocks)])
+
+
 def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    latents = [ppca.encode(g, x[:, model.params.group_slice(i + 1)])
-               for i, g in enumerate(model.group_models)]
-    return ppca.encode(model.final_model, np.hstack(latents))
+    blocks = [x[:, model.params.group_slice(gi)] for gi in range(1, 11)]
+    return ppca.encode(model.final_model, _group_latents(model.group_models, blocks))
 
 
 def decode_batch(model: HppcaModel, codes: np.ndarray) -> np.ndarray:

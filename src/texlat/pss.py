@@ -153,16 +153,22 @@ def column_names(params: PssParams) -> list[str]:
 # --------------------------------------------------------------------------
 # statistic primitives (population conventions, variance-guarded)
 
+def _flat_safe(x, den, ok):
+    """x / den where ok, else 0, with no quotient (and no warning) outside ok.
+    The flat rule: a statistic normalized by a variance below VAR_EPS is 0,
+    and so is its derivative."""
+    return np.divide(x, den, out=np.zeros(np.broadcast(x, den).shape), where=ok)
+
+
 def _skew_kurt(img):
-    """(skewness, kurtosis, aux) of one image; zero when degenerate."""
+    """(skewness, kurtosis, aux) of one image."""
     c = img - img.mean()
     c2 = c * c
     var = np.mean(c2)
-    if var < VAR_EPS:
-        return 0.0, 0.0, (c, var, 0.0, 0.0)
     m3 = np.mean(c2 * c)
     m4 = np.mean(c2 * c2)
-    return m3 / var ** 1.5, m4 / var ** 2, (c, var, m3, m4)
+    ok = var >= VAR_EPS
+    return _flat_safe(m3, var ** 1.5, ok), _flat_safe(m4, var ** 2, ok), (c, var, m3, m4)
 
 
 def _skew_kurt_backward(aux, g_skew, g_kurt):
@@ -186,27 +192,20 @@ def _lag_basis(size, m):
 
 
 def _cov_to_corr(cov, vara, varb):
-    """Pearson matrix from a covariance matrix, rows/cols of variance < VAR_EPS zeroed."""
-    oka, okb = vara >= VAR_EPS, varb >= VAR_EPS
-    rho = cov / np.sqrt(np.outer(np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)))
-    rho[~oka, :] = 0.0
-    rho[:, ~okb] = 0.0
-    return rho
+    """Pearson matrix from a covariance matrix."""
+    ok = np.outer(vara >= VAR_EPS, varb >= VAR_EPS)
+    return _flat_safe(cov, np.sqrt(np.outer(vara, varb)), ok)
 
 
 def _corr_weights(vara, varb, rho, g):
     """(w, da, db) for sum(g * rho) with rho = _cov_to_corr(cov, ...).
 
     w is its derivative by cov; -da/2 and -db/2 are those by vara and varb.
-    Rows and columns of flat stacks get 0, since rho is 0 there.
     """
     oka, okb = vara >= VAR_EPS, varb >= VAR_EPS
-    vara, varb = np.where(oka, vara, 1.0), np.where(okb, varb, 1.0)
-    w = g / np.outer(np.sqrt(vara), np.sqrt(varb))
-    w[~oka, :] = 0.0
-    w[:, ~okb] = 0.0
     gr = g * rho
-    return w, gr.sum(axis=1) / vara, gr.sum(axis=0) / varb
+    return (_flat_safe(g, np.outer(np.sqrt(vara), np.sqrt(varb)), np.outer(oka, okb)),
+            _flat_safe(gr.sum(axis=1), vara, oka), _flat_safe(gr.sum(axis=0), varb, okb))
 
 
 def _level_plan(size, n_sc, n_or):
@@ -316,12 +315,10 @@ def _forward(img, params: PssParams):
         cov[lev, :lev.stop] = cov[:lev.stop, lev].T
 
     # C3 + C4, adjacent in the vector: each lag map normalized by its lag 0
-    c0 = lag[:, m // 2, m // 2].copy()
+    c0 = lag[:, m // 2, m // 2]
     ok = c0 / npix >= VAR_EPS
-    c0[~ok] = 1.0
-    cc.lag_scale = np.where(ok, npix / c0, 0.0)
-    cc.acorr = lag / c0[:, None, None]
-    cc.acorr[~ok] = 0.0
+    cc.lag_scale = _flat_safe(npix, c0, ok)
+    cc.acorr = _flat_safe(lag, c0[:, None, None], ok[:, None, None])
     out[params.group_slice(3).start:params.group_slice(4).stop] = cc.acorr.ravel()
 
     # C5 + C8: magnitude correlations, C5 the diagonal blocks of C8. By Parseval
@@ -455,7 +452,7 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
         side, mg = size >> n, cc.mags[n]
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)
-        unit = np.where(mg > VAR_EPS, 1.0 / np.maximum(mg, VAR_EPS), 0.0)
+        unit = _flat_safe(1.0, mg, mg > VAR_EPS)
         inner = _crop(spec_cot, side)
         inner += stack.band_grid_adjoint(_ifft(cot_spec[n]).real * unit * cc.bands[n], n + 1)
 

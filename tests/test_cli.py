@@ -238,7 +238,16 @@ class TestEncodeDecode:
         bad.write_text("id,c0\nx,1.0\n")
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
 
+    def test_archive_of_other_parameters_rejected(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        other, out = tmp_path / "other.pssa", tmp_path / "codes.csv"
+        assert run("extract", root, "-o", other, *PARAMS, "--scales", "1") == 0
+        assert run("encode", model_path, other, "-o", out) == 2
+        assert "archive parameters do not match the model" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, reason", [
+        pytest.param("x,1,2,3\n", "is not a codes CSV (missing header)", id="no-header"),
         pytest.param("id,c0,c1,c2\n", "no code rows", id="header-only"),
         pytest.param("id,c0,c1,c2\nx,1,2,3\ny,1,2\n", "row 2 has 3 values, header has 4",
                      id="ragged"),
@@ -330,6 +339,27 @@ class TestSynth:
         assert run("synth", model_path, "--input", root / "alpha" / "a0.pgm", "-o", out,
                    "--synth-size", "-4", "--size", "32") == 2
         assert "image side must be a power of two, got -4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["both", "neither"])
+    def test_exactly_one_source_required(self, trained, tmp_path, capsys, source):
+        root, arch, model_path = trained
+        codes, out = tmp_path / "codes.csv", tmp_path / "s.pgm"
+        assert run("encode", model_path, arch, "-o", codes) == 0
+        args = (["--input", root / "alpha" / "a0.pgm", "--code", codes]
+                if source == "both" else [])
+        assert run("synth", model_path, *args, "-o", out, "--size", "32") == 2
+        assert "exactly one of --input or --code is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["6", "-1"])
+    def test_row_out_of_range_fails_naming_it(self, trained, tmp_path, capsys, row):
+        _, arch, model_path = trained
+        codes, out = tmp_path / "codes.csv", tmp_path / "s.pgm"
+        assert run("encode", model_path, arch, "-o", codes) == 0
+        assert run("synth", model_path, "--code", codes, "--row", row, "-o", out,
+                   "--synth-size", "32") == 2
+        assert f"--row {row} out of range for 6 codes" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -571,6 +601,16 @@ class TestEval:
         assert run("eval", model_path, root, "-o", tmp_path / "r.csv",
                    "--sweep-dim", "2", "--size", "32") == 2
 
+    def test_sweep_archive_of_other_parameters_rejected(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        other, report = tmp_path / "other.pssa", tmp_path / "r.csv"
+        assert run("extract", root, "-o", other, *PARAMS, "--scales", "1") == 0
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--archive", other, "--sweep-dim", "2", "--iterations", "0",
+                   "--patch-size", "9") == 2
+        assert "archive parameters do not match the model" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_negative_iterations_fail_before_any_refit(self, trained, tmp_path, capsys):
         root, _, model_path = trained
         report = tmp_path / "r.csv"
@@ -613,6 +653,12 @@ class TestInfoAndExitCodes:
 
     def test_missing_file_is_exit_two(self, tmp_path):
         assert run("info", tmp_path / "nope.bin") == 2
+
+    def test_unknown_magic_is_exit_two_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"NOPE" + bytes(16))
+        assert run("info", path) == 2
+        assert f"{path}: unrecognized file magic b'NOPE'" in capsys.readouterr().err
 
     def test_bands_dump(self, pgm_dataset, tmp_path):
         out = tmp_path / "bands"

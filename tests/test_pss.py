@@ -87,6 +87,21 @@ class TestStatisticValues:
         np.testing.assert_array_equal(v.group(10), [0.0])
         np.testing.assert_array_equal(v.group(2), np.zeros(pss.group_sizes(v.params)[1]))
 
+    @pytest.mark.parametrize("img", [np.full((64, 64), 9.0), np.zeros((64, 64)),
+                                     127 + 40 * (-1.0) ** np.indices((64, 64))[1]],
+                             ids=["constant", "zero", "nyquist-stripes"])
+    def test_flat_statistics_and_their_gradient_are_zero(self, img):
+        # every band and level of these images is flat, so each normalized
+        # statistic is 0, and so is its derivative
+        params = PssParams(4, 4, 7)
+        values, cache = pss._forward(img, params)
+        span = slice(params.group_slice(2).start, params.group_slice(8).stop)
+        assert not values[span].any()
+        cot = np.zeros_like(values)
+        cot[span] = np.random.default_rng(0).standard_normal(span.stop - span.start)
+        grad = pss._backward(cache, cot)
+        assert np.isfinite(grad).all() and not grad.any()
+
     def test_gaussian_noise_moments(self):
         noise = np.random.default_rng(11).standard_normal((128, 128))
         v = pss.extract_pss(noise, PssParams(4, 4, 7))
@@ -156,6 +171,13 @@ class TestStatisticValues:
         img[3, 3] = np.inf
         with pytest.raises(pss.NumericError):
             extract(img, 2, 2, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_rejected(self, rng):
+        params = PssParams(2, 2, 3)
+        _, cache = pss._forward(rng.standard_normal((32, 32)) * 30 + 127, params)
+        with pytest.raises(pss.NumericError, match="non-finite statistic gradient"):
+            pss._backward(cache, np.full(pss.pss_dim(params), np.inf))
 
 
 def upsample(img, size):

@@ -188,6 +188,46 @@ class TestLbfgs:
         assert trace.shape == (5,) and (trace == trace[0]).all()
         assert len(calls) == 1
 
+    @pytest.fixture
+    def noise_target(self):
+        img = np.random.default_rng(3).standard_normal((32, 32)) * 30 + 127
+        return pss.extract_pss(img, PssParams(2, 2, 3))
+
+    def test_failed_forwards_clear_the_memory_then_end_the_run(self, noise_target,
+                                                                monkeypatch):
+        # a forward that raises scores its step inf: the L-BFGS search fails and
+        # clears the pairs, then the steepest-descent search fails and ends the run
+        cfg = SynthesisConfig(5, seed=1, size=32)
+        once, once_trace = synthesis.synthesize(noise_target,
+                                                SynthesisConfig(1, seed=1, size=32))
+        forward, backward, calls, failed = pss._forward, pss._backward, [], []
+
+        def failing_forward(*a):
+            if len(calls) >= 2:
+                failed.append(1)
+                raise pss.NumericError("non-finite statistic at flat index 0")
+            return forward(*a)
+        monkeypatch.setattr(pss, "_forward", failing_forward)
+        monkeypatch.setattr(pss, "_backward", lambda *a: calls.append(1) or backward(*a))
+        out, trace = synthesis.synthesize(noise_target, cfg)
+        np.testing.assert_array_equal(out, once)
+        np.testing.assert_array_equal(trace, [once_trace[0]] + [once_trace[1]] * 5)
+        assert len(calls) == 2
+        assert len(failed) == 2 * synthesis.MAX_BACKTRACKS  # both searches ran out
+
+    def test_failed_backward_names_the_iteration(self, noise_target, monkeypatch):
+        backward, calls = pss._backward, []
+
+        def failing_backward(*a):
+            calls.append(1)
+            if len(calls) == 2:
+                raise pss.NumericError("non-finite statistic gradient")
+            return backward(*a)
+        monkeypatch.setattr(pss, "_backward", failing_backward)
+        with pytest.raises(pss.NumericError,
+                           match="^iteration 1: non-finite statistic gradient$"):
+            synthesis.synthesize(noise_target, SynthesisConfig(5, seed=1, size=32))
+
     def test_non_finite_target_raises(self, rng):
         v = pss.extract_pss(rng.standard_normal((32, 32)) * 20 + 100, PssParams(2, 2, 3))
         v.values[7] = np.nan
