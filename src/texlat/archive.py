@@ -146,14 +146,12 @@ def load_archive(path) -> FeatureArchive:
         raise ValueError("corrupt container: dimension header mismatch")
     classes = []
     for _ in range(n_classes):
-        if pos + 2 > len(buf):
+        # a u16 length, then the name; a cut inside the length also ends past the file
+        end = pos + 2 + int.from_bytes(buf[pos:pos + 2], "little")
+        if end > len(buf):
             raise ValueError(f"corrupt container: {path} has a truncated class list")
-        (ln,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        if pos + ln > len(buf):
-            raise ValueError(f"corrupt container: {path} has a truncated class list")
-        classes.append(buf[pos:pos + ln].decode("utf-8"))
-        pos += ln
+        classes.append(buf[pos + 2:end].decode("utf-8"))
+        pos = end
     rec = _record_dtype(dim)
     if len(buf) != pos + rec.itemsize * count:
         raise ValueError(f"corrupt container: expected {count} records")

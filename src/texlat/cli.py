@@ -68,11 +68,14 @@ def _check_finite(matrix, where) -> None:
         raise ValueError(f"{where(r, c)} is {matrix[r, c]}")
 
 
-def _check_output(matrix, ids, what) -> None:
-    """A finite input can still overflow; write no non-finite row."""
+def _write_rows(path, columns, ids, matrix, what) -> None:
+    """Write one `id`-keyed CSV row per matrix row. A finite input can still
+    overflow, so a non-finite row fails before anything is written."""
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():
         raise pss.NumericError(f"{what} of {ids[int(np.argmax(bad))]!r} is not finite")
+    _write_csv(path, ["id"] + columns,
+               [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, matrix)])
 
 
 def _load_archive(path, params=None) -> ar.FeatureArchive:
@@ -198,11 +201,8 @@ def cmd_encode(args) -> int:
         feats = np.stack([
             pss.extract_pss(_prepare_image(p, args.size), model.params).values
             for p in args.inputs])
-    codes = hppca.encode_batch(model, feats)
-    _check_output(codes, ids, "code")
-    header = ["id"] + [f"c{i}" for i in range(model.output_dim)]
-    _write_csv(args.output, header,
-               [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, codes)])
+    _write_rows(args.output, [f"c{i}" for i in range(model.output_dim)], ids,
+                hppca.encode_batch(model, feats), "code")
     print(f"encoded {len(ids)} inputs -> {args.output}", file=sys.stderr)
     return 0
 
@@ -214,11 +214,8 @@ def cmd_decode(args) -> int:
         raise ValueError(
             f"codes have {codes.shape[1]} columns, model outputs {model.output_dim}")
     _check_finite(codes, lambda r, c: f"{args.codes}: row {r + 1}, column c{c},")
-    decoded = hppca.decode_batch(model, codes)
-    _check_output(decoded, ids, "decoded statistic")
-    header = ["id"] + pss.column_names(model.params)
-    _write_csv(args.output, header,
-               [[ident] + [_fmt(v) for v in row] for ident, row in zip(ids, decoded)])
+    _write_rows(args.output, pss.column_names(model.params), ids,
+                hppca.decode_batch(model, codes), "decoded statistic")
     print(f"decoded {len(ids)} codes -> {args.output}", file=sys.stderr)
     return 0
 
@@ -316,7 +313,8 @@ def cmd_eval(args) -> int:
 # info / bands
 
 def cmd_info(args) -> int:
-    head = Path(args.path).read_bytes()[:4]
+    with open(args.path, "rb") as fh:  # the loader reads the whole file
+        head = fh.read(4)
     if head == ar.ARCHIVE_MAGIC:
         arch = ar.load_archive(args.path)
         counts = {c: int((arch.labels == i).sum()) for i, c in enumerate(arch.classes)}

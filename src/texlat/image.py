@@ -25,32 +25,19 @@ def _as_image(arr) -> np.ndarray:
     return a
 
 
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*[\n\r])*(\S+)")
-
-
-def _pgm_tokens(buf: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
-    """Read whitespace/comment-separated header tokens starting at pos."""
-    out = []
-    while len(out) < count:
-        m = _PGM_TOKEN.match(buf, pos)
-        if m is None:
-            raise FormatError("unsupported format: truncated PGM header")
-        tok = m.group(1)
-        if tok.startswith(b"#"):  # comment token glued to EOF
-            raise FormatError("unsupported format: truncated PGM header")
-        out.append(tok)
-        pos = m.end()
-    return out, pos
+# the width, height and maxval fields after the magic, each behind whitespace
+# or '#' comments that run to a line end; a field ends at whitespace or EOF
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n\r]*[\n\r])*(\S+)(?!\S)" * 3)
 
 
 def _load_pgm(buf: bytes, path) -> np.ndarray:
     magic = buf[:2]
-    try:
-        tokens, pos = _pgm_tokens(buf, 3, 2)
-        # ASCII digits only, as for P2 samples: int() would take a sign or "_"
-        width, height, maxval = (int(t) for t in tokens if t.isdigit())
-    except (FormatError, ValueError) as exc:
-        raise FormatError(f"unsupported format in {path}: bad PGM header") from exc
+    m = _PGM_HEADER.match(buf, 2)
+    # ASCII digits only, as for P2 samples: int() would take a sign or "_"
+    if m is None or not all(t.isdigit() for t in m.groups()):
+        raise FormatError(f"unsupported format in {path}: bad PGM header")
+    width, height, maxval = map(int, m.groups())
+    pos = m.end()
     if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
         raise FormatError(f"unsupported format in {path}: bad PGM dimensions/maxval")
 

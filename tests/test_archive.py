@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,18 @@ def test_out_of_range_label_is_rejected_on_write(rng, tmp_path):
         arch.labels[0] = bad
         with pytest.raises(ValueError, match="class list"):
             save_archive(arch, tmp_path / "f.pssa")
+
+
+@pytest.mark.parametrize("edit", ["cut-inside-length", "length-past-end"])
+def test_truncated_class_list_is_named(rng, tmp_path, capsys, edit):
+    path = tmp_path / "f.pssa"
+    save_archive(make_archive(["cls/a.pgm"], rng), path)
+    raw = path.read_bytes()
+    at = struct.calcsize("<4s7I") + 5  # the header, then b"\x03\x00cls", then "other"
+    assert raw[at:at + 7] == b"\x05\x00other" and len(raw) < at + 2 + 0xFFFF
+    path.write_bytes(raw[:at + 1] if edit == "cut-inside-length"
+                     else raw[:at] + b"\xff\xff" + raw[at + 2:])
+    with pytest.raises(ValueError, match="truncated class list"):
+        load_archive(path)
+    assert cli.main(["info", str(path)]) == 2
+    assert "truncated class list" in capsys.readouterr().err

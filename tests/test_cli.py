@@ -651,8 +651,13 @@ class TestInfoAndExitCodes:
             run("extract", "--nonsense")
         assert exc.value.code == 1
 
-    def test_missing_file_is_exit_two(self, tmp_path):
+    def test_missing_file_is_exit_two(self, tmp_path, capsys):
         assert run("info", tmp_path / "nope.bin") == 2
+        assert f"No such file or directory: '{tmp_path / 'nope.bin'}'" in capsys.readouterr().err
+
+    def test_directory_is_exit_two(self, tmp_path, capsys):
+        assert run("info", tmp_path) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
     def test_unknown_magic_is_exit_two_naming_it(self, tmp_path, capsys):
         path = tmp_path / "x.bin"

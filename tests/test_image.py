@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texlat import image
 
@@ -62,6 +64,36 @@ class TestPgmIO:
         with pytest.raises(image.FormatError, match="bad.pgm: bad PGM header"):
             image.load_image(p)
 
+    @pytest.mark.parametrize("raw,expect", [
+        (b"P512 1 255\n" + bytes(range(12)), [list(range(12))]),  # no separator after the magic
+        (b"P5\r2\r1\r255\r\x07\x09", [[7, 9]]),
+        (b"P2\t2\t1\t255\t7\t9", [[7, 9]]),
+        (b"P2\n#c\n2\n#c\n1\n#c\n255\n7 9", [[7, 9]]),
+        (b"P5 2 1 #c\n255\r\x07\x09", [[7, 9]]),
+    ], ids=["glued-to-magic", "cr", "tab", "comment-lines", "comment-then-cr"])
+    def test_header_separators_that_load(self, tmp_path, raw, expect):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(raw)
+        np.testing.assert_array_equal(image.load_image(p), expect)
+
+    @pytest.mark.parametrize("raw", [
+        b"P5 2#c\n2 255\n" + bytes(4), b"P5 2 2 255#\n" + bytes(4), b"P2 1 1 255#c",
+        b"P2 1 1#c\n255 7", b"P5 12 34",
+    ], ids=["comment-glued-to-width", "comment-glued-to-maxval", "comment-at-end",
+            "comment-glued-to-height", "two-fields"])
+    def test_comment_inside_a_field_or_a_missing_field_is_a_bad_header(self, tmp_path, raw):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(image.FormatError, match="bad.pgm: bad PGM header"):
+            image.load_image(p)
+
+    def test_comment_after_the_header_is_a_bad_sample(self, tmp_path):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(b"P2 2 1 255 # trailing")
+        with pytest.raises(image.FormatError,
+                           match=r"bad.pgm: sample # is not an integer in 0\.\.255"):
+            image.load_image(p)
+
     def test_binary_sample_above_maxval_names_the_file(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P5\n2 1\n100\n" + bytes([7, 250]))
@@ -94,6 +126,70 @@ class TestPgmIO:
         p = tmp_path / "t.png"
         PIL.fromarray(arr, mode="L").save(p)
         np.testing.assert_array_equal(image.load_image(p), arr.astype(float))
+
+
+_RASTER = bytes([0, 128, 255, 7, 64, 200])
+_VALID_PGMS = [
+    b"P2\n3 2\n255\n0 128 255\n7 64 200\n",
+    b"P5\n3 2\n255\n" + _RASTER,
+    b"P5\n# made by hand\n3 2\n# maxval\n255\n" + _RASTER,
+    b"P5\r3\r2\r255\r" + _RASTER,
+    b"P2\t3\t2\t255\t0\t128\t255\t7\t64\t200",
+    b"P5\n2 2\n65535\n" + bytes([255, 255, 0, 1, 128, 0, 12, 34]),
+    b"P2 # 16-bit\n2 1 65535 65535 300\n",
+]
+
+
+def _header_fields(buf):
+    """(width, height, maxval) as the README grammar reads them, or None:
+    three fields of ASCII digits after the magic, each behind whitespace
+    or '#' comments that run to a line end."""
+    fields, i = [], 2
+    for _ in range(3):
+        while buf[i:i + 1].isspace() or buf[i:i + 1] == b"#":
+            if buf[i:i + 1] == b"#":
+                ends = [j for j in (buf.find(b"\n", i), buf.find(b"\r", i)) if j >= 0]
+                if not ends:
+                    return None
+                i = min(ends)
+            i += 1
+        j = i
+        while j < len(buf) and not buf[j:j + 1].isspace():
+            j += 1
+        if not buf[i:j].isdigit():
+            return None
+        fields.append(int(buf[i:j]))
+        i = j
+    return fields
+
+
+_edits = st.lists(st.tuples(st.sampled_from("rid"), st.floats(0.0, 1.0, exclude_max=True),
+                            st.sampled_from(list(b" \t\r\n#0159P")) | st.integers(0, 255)),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.sampled_from(_VALID_PGMS), edits=_edits)
+def test_mutated_pgm_loads_in_range_or_names_the_file(tmp_path_factory, seed, edits):
+    raw = bytearray(seed)
+    for kind, where, byte in edits:
+        at = int(where * len(raw))
+        if kind == "i":
+            raw.insert(at, byte)
+        elif kind == "d":
+            del raw[at]
+        else:
+            raw[at] = byte
+    path = tmp_path_factory.getbasetemp() / "mutant.pgm"
+    path.write_bytes(bytes(raw))
+    try:
+        img = image.load_image(path)
+    except image.FormatError as exc:
+        assert str(path) in str(exc)
+        return
+    fields = _header_fields(bytes(raw))
+    assert fields is not None and img.shape == (fields[1], fields[0])
+    assert np.isfinite(img).all() and img.min() >= 0 and img.max() <= 255
 
 
 class TestNormalize:
