@@ -199,14 +199,15 @@ FORMAT_SHA256 = {
 }
 
 
-def test_formats_and_column_names_are_pinned(tmp_path):
+def _pinned_files(root):
+    """Write the fixed-input files whose bytes FORMAT_SHA256 pins."""
     params = PssParams()
     dim = pss.pss_dim(params)
     rng = np.random.default_rng(2024)
     save_archive(FeatureArchive(params, ["grate", "rings"], np.array([0, 1, 1], np.int32),
                                 ["grate/0.pgm", "rings/0.pgm", "rings/1.pgm"],
-                                rng.random((3, dim))), tmp_path / "a.pssa")
-    pss.save_vector(pss.PssVector(rng.random(dim), params), tmp_path / "v.pssv")
+                                rng.random((3, dim))), root / "a.pssa")
+    pss.save_vector(pss.PssVector(rng.random(dim), params), root / "v.pssv")
 
     def block(size, q, offset):  # dyadic fractions: the same bits on every platform
         x = np.arange(size * (q + 2), dtype=np.float64).reshape(size, q + 2) / 8.0 - offset
@@ -214,11 +215,34 @@ def test_formats_and_column_names_are_pinned(tmp_path):
 
     groups = [block(size, min(size, 2), i) for i, size in enumerate(pss.group_sizes(params))]
     final = block(sum(g.q for g in groups), 3, 10)
-    hppca.save_model(hppca.HppcaModel(groups, final, params, 0.99), tmp_path / "m.hpca")
+    hppca.save_model(hppca.HppcaModel(groups, final, params, 0.99), root / "m.hpca")
+
+
+def test_formats_and_column_names_are_pinned(tmp_path):
+    _pinned_files(tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("a.pssa", "m.hpca", "v.pssv")}
-    got["columns"] = hashlib.sha256("\n".join(pss.column_names(params)).encode()).hexdigest()
+    got["columns"] = hashlib.sha256("\n".join(pss.column_names(PssParams())).encode()).hexdigest()
     assert got == FORMAT_SHA256
+
+
+INFO_TEXT = {
+    "a.pssa": ["feature archive: 3 records, D=1784",
+               "parameters: scales=4 orients=4 neighbor=7",
+               "classes: {'grate': 1, 'rings': 2}"],
+    "m.hpca": ["model: D=1784 intermediate=19 output=3",
+               "parameters: scales=4 orients=4 neighbor=7",
+               "ccr threshold: 0.99",
+               "group latents: [2, 2, 2, 2, 2, 2, 2, 2, 2, 1]",
+               "reduction rate: 99.8%"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFO_TEXT))
+def test_info_text_is_pinned(tmp_path, capsys, name):
+    _pinned_files(tmp_path)
+    assert cli.main(["info", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out == "\n".join(INFO_TEXT[name]) + "\n"
 
 
 # the same pin at other parameters, where every axis has its own length
