@@ -11,8 +11,7 @@ source.
 
 from .image import FormatError, load_image, normalize, resize_box, save_image
 from .pyramid import Pyramid, build_pyramid, collapse
-from .pss import (NumericError, PssParams, PssVector, column_names,
-                  extract_pss, load_vector, pss_dim, save_vector)
+from .pss import NumericError, PssParams, PssVector, column_names, extract_pss, pss_dim
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
                    ppca_decode, encode as ppca_encode, fit as ppca_fit)
 from .hppca import (HppcaModel, decode, encode, fit_hierarchy, load_model,
@@ -29,7 +28,7 @@ __all__ = [
     "FormatError", "load_image", "save_image", "normalize", "resize_box",
     "Pyramid", "build_pyramid", "collapse",
     "PssParams", "PssVector", "NumericError", "pss_dim",
-    "extract_pss", "column_names", "save_vector", "load_vector",
+    "extract_pss", "column_names",
     "PpcaModel", "ppca_fit", "ppca_encode", "ppca_decode",
     "cumulative_contribution", "choose_dim",
     "HppcaModel", "fit_hierarchy", "encode", "decode", "reduction_rate",

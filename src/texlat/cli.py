@@ -2,7 +2,7 @@
 
 Commands: extract, train, encode, decode, synth, eval, info, bands.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
-Set TEXLAT_LOG=debug|info|warning to control stderr verbosity.
+Set TEXLAT_LOG=debug|info|warning for stderr verbosity; other values mean warning.
 """
 
 from __future__ import annotations
@@ -173,7 +173,10 @@ def cmd_train(args) -> int:
 
 def _load_codes(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}: {exc}") from None
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError(f"{path} is not a codes CSV (missing header)")
     if len(rows) < 2:
@@ -328,9 +331,6 @@ def cmd_info(args) -> int:
             f"ccr threshold: {model.intermediate_threshold!r}",
             f"group latents: {list(model.group_dims)}",
             f"reduction rate: {100.0 * hppca.reduction_rate(model):.1f}%"]
-    elif head == pss.VECTOR_MAGIC:
-        vec = pss.load_vector(args.path)
-        p, lines = vec.params, [f"statistic vector: D={vec.values.size}"]
     else:
         raise ValueError(f"{args.path}: unrecognized file magic {head!r}")
     lines.insert(1, f"parameters: scales={p.n_scales} orients={p.n_orientations} "
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("info", help="describe an archive, model or vector file")
+    p = sub.add_parser("info", help="describe an archive or model file")
     p.add_argument("path")
     p.set_defaults(func=cmd_info)
 
@@ -462,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TEXLAT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps a level name to its number and any other text to a string
+    level = logging.getLevelName(os.environ.get("TEXLAT_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="[texlat] %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:

@@ -465,10 +465,6 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # containers: magic, then u32 version, N, K, M, then kind fields, then body
 
-VECTOR_MAGIC = b"PSSV"
-VECTOR_VERSION = 1
-
-
 def pack_container(magic: bytes, version: int, params: PssParams, kind: str,
                    fields, body: bytes) -> bytes:
     """Header plus body; `kind` is the struct format of the kind fields."""
@@ -489,18 +485,3 @@ def read_container(path, magic: bytes, version: int, kind: str, what: str):
     if ver != version:
         raise ValueError(f"version mismatch: file has {ver}, this build reads {version}")
     return buf, PssParams(n, k, m), fields, 4 + head.size
-
-
-def save_vector(v: PssVector, path) -> None:
-    """Write one vector as a small self-describing binary file."""
-    Path(path).write_bytes(pack_container(VECTOR_MAGIC, VECTOR_VERSION, v.params, "I",
-                                          [v.values.size], v.values.astype("<f8").tobytes()))
-
-
-def load_vector(path) -> PssVector:
-    buf, params, (dim,), pos = read_container(path, VECTOR_MAGIC, VECTOR_VERSION, "I",
-                                              "statistic vector file")
-    if dim != pss_dim(params) or len(buf) != pos + 8 * dim:
-        raise ValueError(f"corrupt container: {path} has inconsistent sizes")
-    values = np.frombuffer(buf, dtype="<f8", offset=pos).astype(np.float64)
-    return PssVector(values, params)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from texlat import cli, hppca, image, ppca, pss, synthesis
 from texlat.archive import FeatureArchive, load_archive, save_archive
@@ -661,9 +660,10 @@ class TestInfoAndExitCodes:
 
     def test_unknown_magic_is_exit_two_naming_it(self, tmp_path, capsys):
         path = tmp_path / "x.bin"
-        path.write_bytes(b"NOPE" + bytes(16))
-        assert run("info", path) == 2
-        assert f"{path}: unrecognized file magic b'NOPE'" in capsys.readouterr().err
+        for magic in (b"NOPE", b"PSSV"):
+            path.write_bytes(magic + bytes(16))
+            assert run("info", path) == 2
+            assert f"{path}: unrecognized file magic {magic!r}" in capsys.readouterr().err
 
     def test_bands_dump(self, pgm_dataset, tmp_path):
         out = tmp_path / "bands"
@@ -789,9 +789,15 @@ def test_poisoned_codes_exit_cleanly(nf_base, tmp_path_factory, cells, row):
               "--iterations", "1", "-o", synth, "--trace", trace], [synth, trace])
 
 
-@settings(max_examples=20, deadline=None)
-@given(values=arrays(np.float64, NF_DIM, elements=st.floats(-1, 1) | _poison))
-def test_poisoned_vector_info_exits_cleanly(tmp_path_factory, values):
-    path = tmp_path_factory.mktemp("pssv") / "v.pssv"
-    pss.save_vector(pss.PssVector(values, NF_PARAMS), path)
-    _outcome(["info", path], [])
+def test_oversized_codes_field_exits_two_naming_the_file(nf_base, tmp_path):
+    # one field past the csv module's 131,072-character limit
+    root, _ = nf_base
+    bad = tmp_path / "big.csv"
+    bad.write_text("id,c0,c1\na," + "1" * 200_000 + ",2\n")
+    for argv in (["decode", root / "base.hpca", bad, "-o", tmp_path / "d.csv"],
+                 ["synth", root / "base.hpca", "--code", bad, "-o", tmp_path / "s.pgm"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(*argv) == 2
+        assert err.getvalue() == f"error: {bad}: field larger than field limit (131072)\n"
+        assert not argv[-1].exists()

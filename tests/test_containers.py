@@ -30,13 +30,7 @@ def _model(path):
     hppca.save_model(hppca.fit_hierarchy(x, 0.9, 2, params=PARAMS), path)
 
 
-def _vector(path):
-    values = np.random.default_rng(0).standard_normal(pss.pss_dim(PARAMS))
-    pss.save_vector(pss.PssVector(values, PARAMS), path)
-
-
-CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, hppca.load_model),
-              "PSSV": (_vector, pss.load_vector)}
+CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, hppca.load_model)}
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +67,7 @@ def test_info_on_short_header_exits_two(tmp_path, capsys, magic):
 # the README layout: magic, u32 version, N, K, M, then each kind's fields
 D = pss.pss_dim(PARAMS)
 HEADERS = {"PSSA": struct.pack("<4s7I", b"PSSA", 1, 1, 1, 3, D, 2, 2),
-           "HPCA": struct.pack("<4s4IdII", b"HPCA", 1, 1, 1, 3, 0.9, 2, D),
-           "PSSV": struct.pack("<4s5I", b"PSSV", 1, 1, 1, 3, D)}
+           "HPCA": struct.pack("<4s4IdII", b"HPCA", 1, 1, 1, 3, 0.9, 2, D)}
 
 
 @pytest.mark.parametrize("magic", sorted(CONTAINERS))
@@ -177,24 +170,12 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
             _same_bits(getattr(got, name), getattr(want, name))
 
 
-@settings(max_examples=30, deadline=None)
-@given(params=_params, data=st.data())
-def test_vector_round_trip_property(tmp_path_factory, params, data):
-    values = data.draw(arrays(np.float64, pss.pss_dim(params), elements=st.floats(width=64)))
-    path = tmp_path_factory.mktemp("pssv") / "v.pssv"
-    pss.save_vector(pss.PssVector(values, params), path)
-    back = pss.load_vector(path)
-    assert back.params == params
-    _same_bits(back.values, values)
-
-
 # sha256 of each writer's bytes for fixed inputs, and of the default column
 # names. The round trips above pass when writer and reader change together;
 # these do not, so any change to a file format or a column name shows here
 FORMAT_SHA256 = {
     "a.pssa": "c5c54a5be57bc7dec411f1879024c9cf8d82ccfa94a8a18e9af6af78c1b1d504",
     "m.hpca": "7acecb3ab705a3facdb105ab513e8d8d63ecea8173f71266e49ae0333a5347df",
-    "v.pssv": "da8f91740765eb7177e939c7b4e5f0d8498fc0c862f1dc9e2a2d265c58e2f17e",
     "columns": "d0667b85aae4d4e54ac2fb72bc381286604bc000e27da401aeb5a6d4196ac0be",
 }
 
@@ -207,7 +188,6 @@ def _pinned_files(root):
     save_archive(FeatureArchive(params, ["grate", "rings"], np.array([0, 1, 1], np.int32),
                                 ["grate/0.pgm", "rings/0.pgm", "rings/1.pgm"],
                                 rng.random((3, dim))), root / "a.pssa")
-    pss.save_vector(pss.PssVector(rng.random(dim), params), root / "v.pssv")
 
     def block(size, q, offset):  # dyadic fractions: the same bits on every platform
         x = np.arange(size * (q + 2), dtype=np.float64).reshape(size, q + 2) / 8.0 - offset
@@ -221,7 +201,7 @@ def _pinned_files(root):
 def test_formats_and_column_names_are_pinned(tmp_path):
     _pinned_files(tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in ("a.pssa", "m.hpca", "v.pssv")}
+           for name in ("a.pssa", "m.hpca")}
     got["columns"] = hashlib.sha256("\n".join(pss.column_names(PssParams())).encode()).hexdigest()
     assert got == FORMAT_SHA256
 

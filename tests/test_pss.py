@@ -297,28 +297,3 @@ def test_transposition_permutes_orientations_and_transposes_lags(seed, side, n, 
         want = expect[g].ravel() if g in expect else v.group(g)  # C1, C2, C9, C10 stay
         assert np.abs(vt.group(g) - want).max() <= 1e-12 * np.abs(want).max(), g
 
-
-class TestSerialization:
-    def test_roundtrip_bit_exact(self, rng, tmp_path):
-        v = extract(rng.standard_normal((32, 32)), 2, 2, 3)
-        p = tmp_path / "v.pssv"
-        pss.save_vector(v, p)
-        v2 = pss.load_vector(p)
-        np.testing.assert_array_equal(v2.values, v.values)
-        assert v2.params == v.params
-
-    def test_corrupt_magic(self, tmp_path):
-        p = tmp_path / "v.pssv"
-        p.write_bytes(b"XXXX" + bytes(40))
-        with pytest.raises(ValueError, match="corrupt container"):
-            pss.load_vector(p)
-
-    def test_version_mismatch_names_versions(self, rng, tmp_path):
-        v = extract(rng.standard_normal((32, 32)), 2, 2, 3)
-        p = tmp_path / "v.pssv"
-        pss.save_vector(v, p)
-        raw = bytearray(p.read_bytes())
-        raw[4] = 99
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="99"):
-            pss.load_vector(p)
