@@ -175,7 +175,7 @@ def _load_codes(path):
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field; not text
             raise ValueError(f"{path}: {exc}") from None
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError(f"{path} is not a codes CSV (missing header)")

@@ -789,15 +789,19 @@ def test_poisoned_codes_exit_cleanly(nf_base, tmp_path_factory, cells, row):
               "--iterations", "1", "-o", synth, "--trace", trace], [synth, trace])
 
 
-def test_oversized_codes_field_exits_two_naming_the_file(nf_base, tmp_path):
+@pytest.mark.parametrize("body, reason", [
     # one field past the csv module's 131,072-character limit
+    (b"id,c0,c1\na," + b"1" * 200_000 + b",2\n", "field larger than field limit (131072)"),
+    (b"id,c0,c1\na,\xff,2\n", "'utf-8' codec can't decode byte 0xff in position 11")],
+    ids=["oversized-field", "not-utf-8"])
+def test_unreadable_codes_csv_exits_two_naming_the_file(nf_base, tmp_path, body, reason):
     root, _ = nf_base
-    bad = tmp_path / "big.csv"
-    bad.write_text("id,c0,c1\na," + "1" * 200_000 + ",2\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
     for argv in (["decode", root / "base.hpca", bad, "-o", tmp_path / "d.csv"],
                  ["synth", root / "base.hpca", "--code", bad, "-o", tmp_path / "s.pgm"]):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run(*argv) == 2
-        assert err.getvalue() == f"error: {bad}: field larger than field limit (131072)\n"
+        assert err.getvalue().startswith(f"error: {bad}: {reason}")
         assert not argv[-1].exists()
