@@ -19,8 +19,7 @@ from .hppca import (HppcaModel, decode, encode, fit_hierarchy, load_model,
 from .synthesis import (EvalRow, SynthesisConfig, TssReport, default_weights,
                         evaluate_model, pss_distance, pss_gradient,
                         sample_grid_tss, synthesize, tss)
-from .archive import (DatasetManifest, FeatureArchive, discover_dataset,
-                      load_archive, save_archive)
+from .archive import FeatureArchive, load_archive, save_archive
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "SynthesisConfig", "TssReport", "EvalRow", "default_weights",
     "pss_distance", "pss_gradient", "synthesize", "tss", "sample_grid_tss",
     "evaluate_model",
-    "DatasetManifest", "FeatureArchive", "discover_dataset",
-    "save_archive", "load_archive",
+    "FeatureArchive", "save_archive", "load_archive",
     "__version__",
 ]

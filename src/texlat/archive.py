@@ -1,17 +1,12 @@
-"""Feature archive files and class-folder dataset handling.
+"""Feature archive files.
 
 An archive stores one statistic vector per image as fixed-size records
 behind the shared container header and the class list, so the records
-can be read with one structured view. Datasets follow the
-one-directory-per-class convention; an optional JSON manifest can
-override the root, the class list and the per-class train/eval split
-counts. Preprocessing is fixed but for the command line's --size, so a
-manifest that sets it is rejected.
+can be read with one structured view.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,70 +18,6 @@ from .pss import PssParams, pack_container, pss_dim, read_container
 ARCHIVE_MAGIC = b"PSSA"
 ARCHIVE_VERSION = 1
 _ID_BYTES = 96
-
-_IMAGE_SUFFIXES = (".pgm", ".png")
-
-
-@dataclass
-class DatasetManifest:
-    root: Path
-    classes: list[str]
-    train_count: int = 0   # 0 means "all available"
-    eval_count: int = 0
-
-    def images(self, cls: str) -> list[Path]:
-        return sorted(p for p in (self.root / cls).iterdir()
-                      if p.suffix.lower() in _IMAGE_SUFFIXES)
-
-    def split(self, cls: str, which: str) -> list[Path]:
-        """Deterministic split: the first train_count files train, the
-        next eval_count evaluate."""
-        files = self.images(cls)
-        train_n = self.train_count or len(files)
-        if which == "train":
-            return files[:train_n]
-        if which == "eval":
-            eval_n = self.eval_count or max(len(files) - train_n, 0)
-            return files[train_n:train_n + eval_n]
-        if which == "all":
-            return files
-        raise ValueError(f"unknown split {which!r}")
-
-
-def _manifest_count(spec: dict, key: str, default: int) -> int:
-    value = spec.get(key, default)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"manifest {key!r} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def discover_dataset(root, manifest_path=None, train_count: int = 0,
-                     eval_count: int = 0) -> DatasetManifest:
-    """Build a manifest by scanning class folders, or from a JSON file."""
-    if manifest_path is not None:
-        spec = json.loads(Path(manifest_path).read_text())
-        if not isinstance(spec, dict):
-            raise ValueError(f"manifest {manifest_path} must be a JSON object")
-        if "preprocess" in spec:
-            raise ValueError("manifest 'preprocess' is not supported; use --size")
-        classes = spec.get("classes")
-        if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
-                or len(set(classes)) != len(classes)):
-            raise ValueError(f"manifest 'classes' must be a list of distinct names, "
-                             f"got {classes!r}")
-        mroot = spec.get("root", root)
-        if not isinstance(mroot, (str, Path)):
-            raise ValueError(f"manifest 'root' must be a path, got {mroot!r}")
-        return DatasetManifest(Path(mroot), classes,
-                               _manifest_count(spec, "train_count", train_count),
-                               _manifest_count(spec, "eval_count", eval_count))
-    rootp = Path(root)
-    if not rootp.is_dir():
-        raise FileNotFoundError(f"dataset root {rootp} is not a directory")
-    classes = sorted(p.name for p in rootp.iterdir() if p.is_dir())
-    if not classes:
-        raise ValueError(f"dataset root {rootp} contains no class directories")
-    return DatasetManifest(rootp, classes, train_count, eval_count)
 
 
 @dataclass

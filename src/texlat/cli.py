@@ -38,7 +38,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -90,24 +90,41 @@ def _load_archive(path, params=None) -> ar.FeatureArchive:
 
 
 def _dataset(args):
-    """The class names and the (label, class, file) list of the chosen split;
-    a class with no file in the split is an error."""
-    manifest = ar.discover_dataset(args.dataset, args.manifest,
-                                   args.train_count, args.eval_count)
+    """The class names and the (label, class, file) list of the chosen split.
+    Each root folder is a class; of its sorted .pgm/.png files the first
+    --train-count (0: all) train, the next --eval-count (0: the rest) evaluate."""
+    root = Path(args.dataset)
+    if not root.is_dir():
+        raise FileNotFoundError(f"dataset root {root} is not a directory")
+    classes = sorted(p.name for p in root.iterdir() if p.is_dir())
+    if not classes:
+        raise ValueError(f"dataset root {root} contains no class directories")
     files = []
-    for label, cls in enumerate(manifest.classes):
-        split = manifest.split(cls, args.split)
+    for label, cls in enumerate(classes):
+        split = sorted(p for p in (root / cls).iterdir() if p.suffix.lower() in (".pgm", ".png"))
+        train_n = args.train_count or len(split)
+        if args.split == "train":
+            split = split[:train_n]
+        elif args.split == "eval":
+            split = split[train_n:train_n + (args.eval_count or len(split))]
         if not split:
             raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
         files += [(label, cls, f) for f in split]
-    return list(manifest.classes), files
+    return classes, files
 
 
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)
+
+
+def _magic(path) -> bytes:
+    """The 4 bytes that tell an archive or a model from an image; the loader
+    that follows reads the whole file."""
+    with open(path, "rb") as fh:
+        return fh.read(4)
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +189,7 @@ def cmd_train(args) -> int:
 # encode / decode
 
 def _load_codes(path):
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field; not text
@@ -196,7 +213,7 @@ def _load_codes(path):
 
 def cmd_encode(args) -> int:
     model = hppca.load_model(args.model)
-    if len(args.inputs) == 1 and args.inputs[0].endswith(".pssa"):
+    if len(args.inputs) == 1 and _magic(args.inputs[0]) == ar.ARCHIVE_MAGIC:
         arch = _load_archive(args.inputs[0], model.params)
         ids, feats = arch.ids, arch.features
     else:
@@ -316,8 +333,7 @@ def cmd_eval(args) -> int:
 # info / bands
 
 def cmd_info(args) -> int:
-    with open(args.path, "rb") as fh:  # the loader reads the whole file
-        head = fh.read(4)
+    head = _magic(args.path)
     if head == ar.ARCHIVE_MAGIC:
         arch = ar.load_archive(args.path)
         counts = {c: int((arch.labels == i).sum()) for i, c in enumerate(arch.classes)}
@@ -376,10 +392,17 @@ def _add_preprocess(p: argparse.ArgumentParser):
 
 def _add_dataset(p: argparse.ArgumentParser):
     p.add_argument("dataset", help="class-folder dataset root")
-    p.add_argument("--manifest", help="optional JSON manifest override")
     p.add_argument("--split", choices=("all", "train", "eval"), default="all")
     p.add_argument("--train-count", type=int, default=0)
     p.add_argument("--eval-count", type=int, default=0)
+
+
+def _comma_list(kind):
+    """An argparse type for a comma-separated list of `kind`, named for its errors."""
+    def parse(text):
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocess(p)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--archive", help="training features, needed for sweeps")
-    p.add_argument("--sweep-dim", type=lambda s: [int(x) for x in s.split(",")],
+    p.add_argument("--sweep-dim", type=_comma_list(int),
                    help="comma-separated output dimensions to refit and score")
-    p.add_argument("--sweep-ccr", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--sweep-ccr", type=_comma_list(float),
                    help="comma-separated ccr thresholds to refit and score")
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -20,6 +20,9 @@ def pytest_configure(config):
     # a deprecated numpy call in texlat fails on the first version that warns,
     # not on the one that removes it
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning:texlat")
+    # under -X warn_default_encoding, a texlat file opened in the locale's
+    # encoding fails; every text file texlat writes or reads is UTF-8
+    config.addinivalue_line("filterwarnings", "error::EncodingWarning:texlat")
 
 
 def pad(spec, size):

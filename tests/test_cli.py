@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import io
-import json
 import multiprocessing
 import re
 
@@ -44,6 +43,23 @@ class TestExtract:
         assert sorted(set(arch.labels.tolist())) == [0, 1]
         assert arch.ids[0].startswith("alpha/")
 
+    @pytest.mark.parametrize("flags, ids", [
+        ([], ["alpha/a0.pgm", "alpha/a1.pgm", "alpha/a2.pgm",
+              "beta/b0.pgm", "beta/b1.pgm", "beta/b2.pgm"]),
+        (["--split", "train", "--train-count", "2"],
+         ["alpha/a0.pgm", "alpha/a1.pgm", "beta/b0.pgm", "beta/b1.pgm"]),
+        (["--split", "eval", "--train-count", "1", "--eval-count", "1"],
+         ["alpha/a1.pgm", "beta/b1.pgm"]),
+        (["--split", "eval", "--train-count", "1"],
+         ["alpha/a1.pgm", "alpha/a2.pgm", "beta/b1.pgm", "beta/b2.pgm"]),
+    ], ids=["all", "train-2", "eval-1-1", "eval-rest"])
+    def test_split_takes_sorted_files_in_order(self, pgm_dataset, tmp_path, flags, ids):
+        out = tmp_path / "f.pssa"
+        assert run("extract", pgm_dataset, "-o", out, *PARAMS, *flags) == 0
+        arch = load_archive(out)
+        assert arch.classes == ["alpha", "beta"]
+        assert arch.ids == ids
+
     def test_rerun_is_bit_identical(self, pgm_dataset, tmp_path):
         a, b = tmp_path / "a.pssa", tmp_path / "b.pssa"
         assert run("extract", pgm_dataset, "-o", a, *PARAMS) == 0
@@ -55,6 +71,28 @@ class TestExtract:
         assert run("extract", pgm_dataset, "-o", a, *PARAMS, "--jobs", "1") == 0
         assert run("extract", pgm_dataset, "-o", b, *PARAMS, "--jobs", "2") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_start_at_most_one_worker_per_image(self, pgm_dataset, tmp_path,
+                                                     monkeypatch):
+        started = []
+
+        class InProcessPool:  # records the worker count and starts none
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(it) for it in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        assert run("extract", pgm_dataset, "-o", tmp_path / "f.pssa", *PARAMS,
+                   "--jobs", "1000") == 0
+        assert started == [6]
 
     def test_empty_class_directory_fails_naming_class(self, pgm_dataset, tmp_path,
                                                       capsys):
@@ -115,36 +153,6 @@ class TestExtract:
         out = tmp_path / "f.pssa"
         assert run("extract", root, "-o", out, "--size", "64") == 0
         assert load_archive(out).features.shape[1] == 1784
-
-
-class TestManifest:
-    def test_manifest_selects_classes_and_train_count(self, pgm_dataset, tmp_path):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"classes": ["beta"], "train_count": 2}))
-        out = tmp_path / "f.pssa"
-        assert run("extract", pgm_dataset, "--manifest", manifest, "--split", "train",
-                   "-o", out, *PARAMS) == 0
-        arch = load_archive(out)
-        assert arch.classes == ["beta"]
-        assert arch.ids == ["beta/b0.pgm", "beta/b1.pgm"]
-
-    @pytest.mark.parametrize("spec, reason", [
-        ({"train_count": 1}, "'classes'"),
-        ({"classes": "alpha"}, "'classes'"),
-        ({"classes": ["alpha", "alpha"]}, "'classes'"),
-        ([1, 2], "JSON object"),
-        ({"classes": ["alpha"], "train_count": 1.5}, "'train_count'"),
-        ({"classes": ["alpha"], "preprocess": {"size": 16}}, "use --size"),
-    ], ids=["no-classes", "classes-not-list", "repeated-class", "not-an-object", "float-count", "preprocess"])
-    def test_malformed_manifest_exits_two_naming_the_key(self, pgm_dataset, tmp_path,
-                                                          capsys, spec, reason):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps(spec))
-        code = run("extract", pgm_dataset, "--manifest", manifest,
-                   "-o", tmp_path / "f.pssa", *PARAMS)
-        assert code == 2
-        assert reason in capsys.readouterr().err
-        assert not (tmp_path / "f.pssa").exists()
 
 
 class TestTrain:
@@ -230,6 +238,14 @@ class TestEncodeDecode:
         assert run("encode", model_path, root / "alpha" / "a0.pgm",
                    "-o", codes, "--size", "32") == 0
         assert len(read_csv(codes)) == 2
+
+    def test_archive_is_told_by_its_magic(self, trained, tmp_path):
+        _, arch, model_path = trained
+        copy, a, b = tmp_path / "feats.bin", tmp_path / "a.csv", tmp_path / "b.csv"
+        copy.write_bytes(arch.read_bytes())
+        assert run("encode", model_path, arch, "-o", a) == 0
+        assert run("encode", model_path, copy, "-o", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_wrong_code_width_rejected(self, trained, tmp_path):
         _, _, model_path = trained
@@ -588,6 +604,18 @@ class TestEval:
         assert code == 3
         assert re.match(r"numeric failure: .*\b(nan|inf|non-finite)\b", err)
         assert not report.exists()
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--sweep-dim", "10,x", "int"), ("--sweep-ccr", "0.9,y", "float")])
+    def test_bad_sweep_list_names_the_expected_type(self, trained, tmp_path, capsys,
+                                                   flag, value, kind):
+        root, arch, model_path = trained
+        with pytest.raises(SystemExit) as exc:
+            run("eval", model_path, root, "-o", tmp_path / "r.csv", "--archive", arch,
+                flag, value)
+        assert exc.value.code == 1
+        assert (f"argument {flag}: invalid comma-separated {kind} value: '{value}'"
+                in capsys.readouterr().err)
 
     def test_zero_patch_size_fails_naming_it(self, trained, tmp_path, capsys):
         root, _, model_path = trained
