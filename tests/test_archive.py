@@ -78,3 +78,11 @@ def test_truncated_class_list_is_named(rng, tmp_path, capsys, edit):
         load_archive(path)
     assert cli.main(["info", str(path)]) == 2
     assert "truncated class list" in capsys.readouterr().err
+
+
+def test_feature_width_other_than_the_parameters_is_rejected_on_write(rng, tmp_path):
+    arch = make_archive(["cls/a.pgm"], rng)
+    arch.features = np.hstack([arch.features, arch.features[:, :1]])
+    with pytest.raises(ValueError, match=f"feature width {pss_dim(PARAMS) + 1} does not match"):
+        save_archive(arch, tmp_path / "f.pssa")
+    assert not (tmp_path / "f.pssa").exists()

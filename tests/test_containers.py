@@ -242,3 +242,41 @@ def test_column_names_are_pinned_at_other_parameters(n, k, m):
     for g in range(1, 11):
         tagged = [i for i, name in enumerate(names) if name.startswith(f"C{g}.")]
         assert tagged == list(range(pss.pss_dim(params)))[params.group_slice(g)]
+
+
+# checks of the loaders that neither the prefix cuts nor the byte flips above
+# reach reliably; each edit breaks one rule of a valid file
+MODEL_HEAD = 4 + struct.calcsize("<4IdII")  # the first block starts here
+
+
+def _model_edit(raw, rule):
+    if rule == "truncated model block":  # cut inside the first block's header
+        return raw[:MODEL_HEAD + 10]
+    if rule == "group block size mismatch":  # C1 one entry short
+        (dim,) = struct.unpack_from("<I", raw, MODEL_HEAD)
+        return raw[:MODEL_HEAD] + struct.pack("<I", dim - 1) + raw[MODEL_HEAD + 4:]
+    if rule == "trailing bytes":
+        return raw + bytes(8)
+    # "final block inconsistent": the header's code length d, one below the final q
+    (d,) = struct.unpack_from("<I", raw, 28)
+    return raw[:28] + struct.pack("<I", d - 1) + raw[32:]
+
+
+@pytest.mark.parametrize("rule", ["truncated model block", "group block size mismatch",
+                                  "trailing bytes", "final block inconsistent"])
+def test_info_names_each_broken_model_rule(valid_files, tmp_path, capsys, rule):
+    path = tmp_path / "m.hpca"
+    path.write_bytes(_model_edit(valid_files[1]["HPCA"], rule))
+    assert cli.main(["info", str(path)]) == 2
+    assert f"corrupt container: {rule}" in capsys.readouterr().err
+
+
+def test_info_names_an_archive_label_out_of_range(valid_files, tmp_path, capsys):
+    raw = bytearray(valid_files[1]["PSSA"])
+    at = len(raw) - 2 * (4 + 96 + 8 * D)  # the first record's class index
+    assert raw[at:at + 4] == struct.pack("<I", 0)
+    raw[at:at + 4] = struct.pack("<I", 2)  # the archive has two classes
+    path = tmp_path / "a.pssa"
+    path.write_bytes(bytes(raw))
+    assert cli.main(["info", str(path)]) == 2
+    assert "corrupt container: label out of range" in capsys.readouterr().err
