@@ -14,12 +14,11 @@ from .pyramid import Pyramid, build_pyramid, collapse
 from .pss import NumericError, PssParams, PssVector, column_names, extract_pss, pss_dim
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
                    ppca_decode, encode as ppca_encode, fit as ppca_fit)
-from .hppca import (HppcaModel, decode, encode, fit_hierarchy, load_model,
-                    reduction_rate, save_model)
+from .hppca import HppcaModel, decode, encode, fit_hierarchy, reduction_rate
 from .synthesis import (EvalRow, SynthesisConfig, TssReport, default_weights,
                         evaluate_model, pss_distance, pss_gradient,
                         sample_grid_tss, synthesize, tss)
-from .archive import FeatureArchive, load_archive, save_archive
+from .archive import FeatureArchive, load_archive, load_model, save_archive, save_model
 
 __version__ = "0.1.0"
 

@@ -1,8 +1,9 @@
-"""Feature archive files.
+"""texlat's binary files: feature archives and models.
 
-An archive stores one statistic vector per image as fixed-size records
-behind the shared container header and the class list, so the records
-can be read with one structured view.
+Both containers share one header: a 4-byte magic, then u32 version, N, K
+and M, then the fields of the container's kind, then its body. An archive's
+fixed-size records are read with one structured view, and each of a
+model's eleven PPCA blocks with one float64 read.
 """
 
 from __future__ import annotations
@@ -13,11 +14,39 @@ from pathlib import Path
 
 import numpy as np
 
-from .pss import PssParams, pack_container, pss_dim, read_container
+from .hppca import HppcaModel
+from .ppca import PpcaModel
+from .pss import PssParams, group_sizes, pss_dim
 
-ARCHIVE_MAGIC = b"PSSA"
-ARCHIVE_VERSION = 1
+ARCHIVE_MAGIC, ARCHIVE_VERSION = b"PSSA", 1
+MODEL_MAGIC, MODEL_VERSION = b"HPCA", 1
 _ID_BYTES = 96
+
+
+def _pack_container(magic: bytes, version: int, params: PssParams, kind: str,
+                    fields, body: bytes) -> bytes:
+    """Header plus body; `kind` is the struct format of the kind fields."""
+    return magic + struct.pack(f"<4I{kind}", version, params.n_scales,
+                               params.n_orientations, params.neighborhood,
+                               *fields) + body
+
+
+def _read_container(path, magic: bytes, version: int, kind: str, what: str, dim_at: int):
+    """Check magic, header length, version and the statistic dimension, which
+    is kind field `dim_at`; return (bytes, params, fields, body offset)."""
+    buf = Path(path).read_bytes()
+    if buf[:4] != magic:
+        raise ValueError(f"corrupt container: {path} is not a {what}")
+    head = struct.Struct(f"<4I{kind}")
+    if len(buf) < 4 + head.size:
+        raise ValueError(f"corrupt container: {path} has a truncated header")
+    ver, n, k, m, *fields = head.unpack_from(buf, 4)
+    if ver != version:
+        raise ValueError(f"version mismatch: file has {ver}, this build reads {version}")
+    params = PssParams(n, k, m)
+    if fields[dim_at] != pss_dim(params):
+        raise ValueError("corrupt container: dimension header mismatch")
+    return buf, params, fields, 4 + head.size
 
 
 @dataclass
@@ -45,6 +74,13 @@ def _stored_id(ident: str) -> str:
     return ident.encode("utf-8")[:_ID_BYTES].decode("utf-8", "ignore").rstrip("\0")
 
 
+def _text(raw: bytes, path, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"corrupt container: {path}: {what} {raw!r} is not UTF-8") from None
+
+
 def save_archive(arch: FeatureArchive, path) -> None:
     p = arch.params
     n, dim = arch.features.shape
@@ -66,22 +102,20 @@ def save_archive(arch: FeatureArchive, path) -> None:
     recs["id"] = [key.encode("utf-8") for key in cut]
     recs["features"] = arch.features
     body = b"".join(struct.pack("<H", len(enc)) + enc for enc in names) + recs.tobytes()
-    Path(path).write_bytes(pack_container(ARCHIVE_MAGIC, ARCHIVE_VERSION, p, "III",
-                                          [dim, n, len(names)], body))
+    Path(path).write_bytes(_pack_container(ARCHIVE_MAGIC, ARCHIVE_VERSION, p, "III",
+                                           [dim, n, len(names)], body))
 
 
 def load_archive(path) -> FeatureArchive:
-    buf, params, (dim, count, n_classes), pos = read_container(
-        path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "III", "feature archive")
-    if dim != pss_dim(params):
-        raise ValueError("corrupt container: dimension header mismatch")
+    buf, params, (dim, count, n_classes), pos = _read_container(
+        path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "III", "feature archive", 0)
     classes = []
     for _ in range(n_classes):
         # a u16 length, then the name; a cut inside the length also ends past the file
         end = pos + 2 + int.from_bytes(buf[pos:pos + 2], "little")
         if end > len(buf):
             raise ValueError(f"corrupt container: {path} has a truncated class list")
-        classes.append(buf[pos + 2:end].decode("utf-8"))
+        classes.append(_text(buf[pos + 2:end], path, "class name"))
         pos = end
     rec = _record_dtype(dim)
     if len(buf) != pos + rec.itemsize * count:
@@ -90,5 +124,50 @@ def load_archive(path) -> FeatureArchive:
     if count and recs["label"].max() >= len(classes):
         raise ValueError("corrupt container: label out of range")
     return FeatureArchive(params, classes, recs["label"].astype(np.int32),
-                          [b.decode("utf-8") for b in recs["id"]],
+                          [_text(b, path, "image id") for b in recs["id"].tolist()],
                           recs["features"].astype(np.float64))
+
+
+def _pack_block(m: PpcaModel) -> bytes:
+    """u32 dim and q, then float64 noise variance, mean, loadings and spectrum."""
+    values = np.concatenate([[m.noise_var], m.mean, np.ravel(m.loadings), m.eigenvalues])
+    return struct.pack("<II", m.dim, m.q) + values.astype("<f8").tobytes()
+
+
+def _unpack_block(buf: bytes, pos: int, where: str) -> tuple[PpcaModel, int]:
+    # a cut inside dim or q also ends past the file
+    dim, q = (int.from_bytes(buf[at:at + 4], "little") for at in (pos, pos + 4))
+    end = pos + 16 + 8 * dim * (q + 2)
+    if end > len(buf):
+        raise ValueError("corrupt container: truncated model block")
+    values = np.frombuffer(buf, "<f8", 1 + dim * (q + 2), pos + 8).astype(np.float64)
+    # the fits never write a non-finite mean or loading, and encode and decode use both
+    if not np.isfinite(values[1:1 + dim * (q + 1)]).all():
+        raise ValueError(f"corrupt container: {where} holds a non-finite mean or loading")
+    mean, w, lam = np.split(values[1:], [dim, dim * (q + 1)])
+    return PpcaModel(mean, w.reshape(dim, q), float(values[0]), lam, q), end
+
+
+def save_model(model: HppcaModel, path) -> None:
+    """Write the full two-stage model; load_model restores it bit-exactly."""
+    blocks = b"".join(_pack_block(m) for m in [*model.group_models, model.final_model])
+    Path(path).write_bytes(_pack_container(
+        MODEL_MAGIC, MODEL_VERSION, model.params, "dII",
+        [model.intermediate_threshold, model.output_dim, pss_dim(model.params)], blocks))
+
+
+def load_model(path) -> HppcaModel:
+    buf, params, (thr, d, _), pos = _read_container(path, MODEL_MAGIC, MODEL_VERSION,
+                                                    "dII", "model file", 2)
+    groups = []
+    for gi, size in enumerate(group_sizes(params), 1):
+        block, pos = _unpack_block(buf, pos, f"{path} block C{gi}")
+        if block.dim != size:
+            raise ValueError("corrupt container: group block size mismatch")
+        groups.append(block)
+    final, pos = _unpack_block(buf, pos, f"{path} final block")
+    if pos != len(buf):
+        raise ValueError("corrupt container: trailing bytes")
+    if final.dim != sum(g.q for g in groups) or final.q != d:
+        raise ValueError("corrupt container: final block inconsistent")
+    return HppcaModel(groups, final, params, float(thr))

@@ -170,7 +170,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     arch = _load_archive(args.archive)
     model = hppca.fit_hierarchy(arch.features, args.ccr, args.dim, arch.params)
-    hppca.save_model(model, args.output)
+    ar.save_model(model, args.output)
     if args.spectrum_csv:
         rows = []
         for name, m in zip([f"C{i}" for i in range(1, 11)] + ["final"],
@@ -212,7 +212,7 @@ def _load_codes(path):
 
 
 def cmd_encode(args) -> int:
-    model = hppca.load_model(args.model)
+    model = ar.load_model(args.model)
     if len(args.inputs) == 1 and _magic(args.inputs[0]) == ar.ARCHIVE_MAGIC:
         arch = _load_archive(args.inputs[0], model.params)
         ids, feats = arch.ids, arch.features
@@ -228,7 +228,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    model = hppca.load_model(args.model)
+    model = ar.load_model(args.model)
     ids, codes = _load_codes(args.codes)
     if codes.shape[1] != model.output_dim:
         raise ValueError(
@@ -244,7 +244,7 @@ def cmd_decode(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
-    model = hppca.load_model(args.model)
+    model = ar.load_model(args.model)
     if (args.input is None) == (args.code is None):
         raise ValueError("exactly one of --input or --code is required")
     if args.input:
@@ -286,7 +286,7 @@ def cmd_eval(args) -> int:
     for r in args.sweep_ccr or []:
         if not 0 < r <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {r}")
-    model = hppca.load_model(args.model)
+    model = ar.load_model(args.model)
     class_names, files = _dataset(args)
     items = [(f"{cls}/{f.name}", _prepare_image(f, args.size)) for _, cls, f in files]
     log.info("evaluating %d images", len(items))
@@ -339,8 +339,8 @@ def cmd_info(args) -> int:
         counts = {c: int((arch.labels == i).sum()) for i, c in enumerate(arch.classes)}
         p, lines = arch.params, [f"feature archive: {arch.features.shape[0]} records, "
                                  f"D={arch.features.shape[1]}", f"classes: {counts}"]
-    elif head == hppca.MODEL_MAGIC:
-        model = hppca.load_model(args.path)
+    elif head == ar.MODEL_MAGIC:
+        model = ar.load_model(args.path)
         p, lines = model.params, [
             f"model: D={pss.pss_dim(model.params)} intermediate={model.intermediate_dim} "
             f"output={model.output_dim}",
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    description="texture statistics, codes and synthesis")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[], help="dataset -> feature archive")
+    p = sub.add_parser("extract", help="dataset -> feature archive")
     _add_dataset(p)
     _add_params(p)
     _add_preprocess(p)
@@ -498,7 +498,3 @@ def main(argv=None) -> int:
     except (image.FormatError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,24 +10,19 @@ Groups with no variance keep a single always-zero latent so the
 intermediate layout stays static across refits and serialization. The
 group eigendecompositions (rank-sized; loadings are zero-padded only up to
 q) depend on neither threshold nor code length, so a GroupSpectra keeps them.
+`texlat.archive` writes and reads a model.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import ppca
 from .ppca import PpcaModel
-from .pss import (PssParams, PssVector, column_names, group_sizes, pack_container,
-                  pss_dim, read_container)
-
-MODEL_MAGIC = b"HPCA"
-MODEL_VERSION = 1
+from .pss import PssParams, PssVector, column_names, pss_dim
 
 
 @dataclass
@@ -143,57 +138,3 @@ def decode(model: HppcaModel, code) -> PssVector:
 def reduction_rate(model: HppcaModel) -> float:
     """Fraction of statistic dimensions removed by the final code."""
     return 1.0 - model.output_dim / pss_dim(model.params)
-
-
-# --------------------------------------------------------------------------
-# container serialization
-
-def _pack_block(m: PpcaModel) -> bytes:
-    head = struct.pack("<IId", m.dim, m.q, m.noise_var)
-    return (head + m.mean.astype("<f8").tobytes()
-            + np.ascontiguousarray(m.loadings).astype("<f8").tobytes()
-            + m.eigenvalues.astype("<f8").tobytes())
-
-
-def _unpack_block(buf: bytes, pos: int) -> tuple[PpcaModel, int]:
-    if pos + 16 > len(buf):
-        raise ValueError("corrupt container: truncated model block")
-    dim, q, sigma2 = struct.unpack_from("<IId", buf, pos)
-    pos += 16
-    need = 8 * (dim + dim * q + dim)
-    if pos + need > len(buf):
-        raise ValueError("corrupt container: truncated model block")
-    mean = np.frombuffer(buf, "<f8", dim, pos).astype(np.float64)
-    pos += 8 * dim
-    w = np.frombuffer(buf, "<f8", dim * q, pos).astype(np.float64).reshape(dim, q)
-    pos += 8 * dim * q
-    lam = np.frombuffer(buf, "<f8", dim, pos).astype(np.float64)
-    pos += 8 * dim
-    return PpcaModel(mean, w, float(sigma2), lam, int(q)), pos
-
-
-def save_model(model: HppcaModel, path) -> None:
-    """Write the full two-stage model; load_model restores it bit-exactly."""
-    blocks = b"".join(_pack_block(m) for m in [*model.group_models, model.final_model])
-    Path(path).write_bytes(pack_container(
-        MODEL_MAGIC, MODEL_VERSION, model.params, "dII",
-        [model.intermediate_threshold, model.output_dim, pss_dim(model.params)], blocks))
-
-
-def load_model(path) -> HppcaModel:
-    buf, params, (thr, d, dim), pos = read_container(path, MODEL_MAGIC, MODEL_VERSION,
-                                                     "dII", "model file")
-    if pss_dim(params) != dim:
-        raise ValueError("corrupt container: dimension header mismatch")
-    groups = []
-    for size in group_sizes(params):
-        block, pos = _unpack_block(buf, pos)
-        if block.dim != size:
-            raise ValueError("corrupt container: group block size mismatch")
-        groups.append(block)
-    final, pos = _unpack_block(buf, pos)
-    if pos != len(buf):
-        raise ValueError("corrupt container: trailing bytes")
-    if final.dim != sum(g.q for g in groups) or final.q != d:
-        raise ValueError("corrupt container: final block inconsistent")
-    return HppcaModel(groups, final, params, float(thr))

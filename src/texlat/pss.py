@@ -55,9 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -460,28 +458,3 @@ def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
     if not np.isfinite(grad).all():
         raise NumericError("non-finite statistic gradient")
     return grad
-
-
-# --------------------------------------------------------------------------
-# containers: magic, then u32 version, N, K, M, then kind fields, then body
-
-def pack_container(magic: bytes, version: int, params: PssParams, kind: str,
-                   fields, body: bytes) -> bytes:
-    """Header plus body; `kind` is the struct format of the kind fields."""
-    return magic + struct.pack(f"<4I{kind}", version, params.n_scales,
-                               params.n_orientations, params.neighborhood,
-                               *fields) + body
-
-
-def read_container(path, magic: bytes, version: int, kind: str, what: str):
-    """Check magic, header length and version; return (bytes, params, fields, body offset)."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != magic:
-        raise ValueError(f"corrupt container: {path} is not a {what}")
-    head = struct.Struct(f"<4I{kind}")
-    if len(buf) < 4 + head.size:
-        raise ValueError(f"corrupt container: {path} has a truncated header")
-    ver, n, k, m, *fields = head.unpack_from(buf, 4)
-    if ver != version:
-        raise ValueError(f"version mismatch: file has {ver}, this build reads {version}")
-    return buf, PssParams(n, k, m), fields, 4 + head.size

@@ -86,3 +86,28 @@ def test_feature_width_other_than_the_parameters_is_rejected_on_write(rng, tmp_p
     with pytest.raises(ValueError, match=f"feature width {pss_dim(PARAMS) + 1} does not match"):
         save_archive(arch, tmp_path / "f.pssa")
     assert not (tmp_path / "f.pssa").exists()
+
+
+@pytest.mark.parametrize("what, stored", [("class name", b"\xffls"),
+                                          ("image id", b"\xffls/a.pgm")])
+def test_text_that_is_not_utf8_is_a_corrupt_container_naming_the_file(rng, tmp_path, capsys,
+                                                                       what, stored):
+    path = tmp_path / "f.pssa"
+    save_archive(make_archive(["cls/a.pgm", "other/b.pgm"], rng), path)
+    raw = bytearray(path.read_bytes())
+    # the first class name follows the header and its u16 length; the first id
+    # follows the first record's class index
+    at = (struct.calcsize("<4s7I") + 2 if what == "class name"
+          else len(raw) - 2 * (4 + 96 + 8 * pss_dim(PARAMS)) + 4)
+    assert raw[at:at + 3] == b"cls"
+    raw[at] = 0xFF
+    path.write_bytes(bytes(raw))
+    message = f"corrupt container: {path}: {what} {stored!r} is not UTF-8"
+    with pytest.raises(ValueError) as exc:
+        load_archive(path)
+    assert str(exc.value) == message
+    model = tmp_path / "m.hpca"
+    for argv in (["info", path], ["train", path, "-o", model]):
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()

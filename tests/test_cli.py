@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texlat import cli, hppca, image, ppca, pss, synthesis
+from texlat import archive, cli, hppca, image, ppca, pss, synthesis
 from texlat.archive import FeatureArchive, load_archive, save_archive
 
 PARAMS = ["--scales", "2", "--orients", "2", "--neighbor", "3", "--size", "32"]
@@ -154,6 +154,38 @@ class TestExtract:
         assert run("extract", root, "-o", out, "--size", "64") == 0
         assert load_archive(out).features.shape[1] == 1784
 
+    def test_resize_stores_the_statistic_of_the_box_filtered_image(self, tmp_path, rng):
+        root = tmp_path / "ds"
+        (root / "cls").mkdir(parents=True)
+        for name, shape in (("square.pgm", (64, 64)), ("wide.pgm", (40, 48))):
+            image.save_image(rng.uniform(0, 255, shape), root / "cls" / name)
+        out = tmp_path / "f.pssa"
+        assert run("extract", root, "-o", out, *PARAMS) == 0  # PARAMS resize to 32 px
+        arch = load_archive(out)
+        assert arch.ids == ["cls/square.pgm", "cls/wide.pgm"]
+        for ident, row in zip(arch.ids, arch.features):
+            img = image.resize_box(image.load_image(root / ident), 32, 32)
+            want = pss.extract_pss(image.normalize(img, 127, 40), pss.PssParams(2, 2, 3))
+            assert row.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+@pytest.mark.parametrize("kind, reason", [("missing", "is not a directory"),
+                                          ("flat", "contains no class directories")])
+def test_bad_dataset_root_exits_two_naming_it(trained, tmp_path, capsys, command, kind,
+                                              reason):
+    _, _, model_path = trained
+    root = tmp_path / kind
+    if kind == "flat":  # an image at the root is not a class
+        root.mkdir()
+        image.save_image(np.zeros((32, 32)), root / "a.pgm")
+    out = tmp_path / "out"
+    argv = (["extract", root, "-o", out, *PARAMS] if command == "extract" else
+            ["eval", model_path, root, "-o", out, "--size", "32", "--iterations", "0"])
+    assert run(*argv) == 2
+    assert f"dataset root {root} {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestTrain:
     def test_prints_dimensions_and_writes_spectrum(self, trained, tmp_path, capsys):
@@ -226,7 +258,7 @@ class TestEncodeDecode:
         assert dec_rows[0][1] == "C1.mean"
         assert len(dec_rows[0]) == 1 + 142
 
-        model = hppca.load_model(model_path)
+        model = archive.load_model(model_path)
         feats = load_archive(arch)
         expect = hppca.decode_batch(model, hppca.encode_batch(model, feats.features))
         got = np.array([[float(x) for x in r[1:]] for r in dec_rows[1:]])
@@ -436,7 +468,7 @@ class TestEval:
                    "--iterations", "2", "--patch-size", "9") == 0
         items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
                  for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
-        rows = synthesis.evaluate_model(hppca.load_model(model_path), items,
+        rows = synthesis.evaluate_model(archive.load_model(model_path), items,
                                         synthesis.SynthesisConfig(iterations=2), 9)
         tss = [r.tss for r in rows]
         expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
@@ -501,7 +533,7 @@ class TestEval:
 
         items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
                  for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
-        arch, model = load_archive(arch_path), hppca.load_model(model_path)
+        arch, model = load_archive(arch_path), archive.load_model(model_path)
         body = read_csv(report)[1:]
         for d, row in zip((2, 3), body):
             swept = hppca.fit_hierarchy(arch.features, model.intermediate_threshold, d,
@@ -538,7 +570,7 @@ class TestEval:
 
         items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
                  for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
-        arch, model = load_archive(arch_path), hppca.load_model(model_path)
+        arch, model = load_archive(arch_path), archive.load_model(model_path)
         body = read_csv(report)[1:]
         assert len(body) == 2
         for ccr, row in zip((0.999, 0.9999), body):
@@ -772,7 +804,7 @@ def _outcome(argv, outputs):
             body = [row[1:] for row in read_csv(p)[1:]]
             assert np.isfinite(np.array(body, dtype=float)).all(), p
         elif p.suffix == ".hpca":
-            m = hppca.load_model(p)
+            m = archive.load_model(p)
             for b in [*m.group_models, m.final_model]:
                 for a in (b.mean, b.loadings, b.eigenvalues, b.noise_var):
                     assert np.isfinite(a).all(), p
@@ -833,3 +865,28 @@ def test_unreadable_codes_csv_exits_two_naming_the_file(nf_base, tmp_path, body,
             assert run(*argv) == 2
         assert err.getvalue().startswith(f"error: {bad}: {reason}")
         assert not argv[-1].exists()
+
+
+@pytest.mark.parametrize("block, field, value", [("C3", "mean", np.inf),
+                                                 ("final", "loadings", np.nan)])
+def test_non_finite_model_is_a_corrupt_container_naming_file_and_block(nf_base, tmp_path,
+                                                                       block, field, value):
+    root, _ = nf_base
+    model = archive.load_model(root / "base.hpca")
+    stage = model.final_model if block == "final" else model.group_models[int(block[1:]) - 1]
+    getattr(stage, field).flat[0] = value
+    bad = tmp_path / "bad.hpca"
+    archive.save_model(model, bad)  # the writer takes it; train never makes one
+    where = f"{bad} final block" if block == "final" else f"{bad} block {block}"
+    codes, decoded, synth = tmp_path / "c.csv", tmp_path / "d.csv", tmp_path / "s.pgm"
+    for argv in (["info", bad], ["encode", bad, root / "clean.pssa", "-o", codes],
+                 ["decode", bad, root / "codes.csv", "-o", decoded],
+                 ["synth", bad, "--code", root / "codes.csv", "--iterations", "1",
+                  "-o", synth]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(*argv) == 2, argv[0]
+        assert out.getvalue() == ""
+        assert err.getvalue() == (f"error: corrupt container: {where} holds a non-finite "
+                                  "mean or loading\n")
+    assert not any(p.exists() for p in (codes, decoded, synth))

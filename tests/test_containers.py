@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from texlat import cli, hppca, pss
+from texlat import archive, cli, hppca, pss
 from texlat.archive import FeatureArchive, load_archive, save_archive
 from texlat.ppca import PpcaModel
 from texlat.pss import PssParams
@@ -27,10 +27,10 @@ def _archive(path):
 def _model(path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((12, pss.pss_dim(PARAMS)))
-    hppca.save_model(hppca.fit_hierarchy(x, 0.9, 2, params=PARAMS), path)
+    archive.save_model(hppca.fit_hierarchy(x, 0.9, 2, params=PARAMS), path)
 
 
-CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, hppca.load_model)}
+CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, archive.load_model)}
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,8 @@ def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, d
     final = block(inter, data.draw(st.integers(1, inter)), noise[-1])
     model = hppca.HppcaModel(groups, final, params, thr)
     path = tmp_path_factory.mktemp("hpca") / "m.hpca"
-    hppca.save_model(model, path)
-    back = hppca.load_model(path)
+    archive.save_model(model, path)
+    back = archive.load_model(path)
     assert back.params == params
     _same_bits(np.array(back.intermediate_threshold), np.array(thr))
     for got, want in zip([*back.group_models, back.final_model], [*groups, final]):
@@ -195,7 +195,7 @@ def _pinned_files(root):
 
     groups = [block(size, min(size, 2), i) for i, size in enumerate(pss.group_sizes(params))]
     final = block(sum(g.q for g in groups), 3, 10)
-    hppca.save_model(hppca.HppcaModel(groups, final, params, 0.99), root / "m.hpca")
+    archive.save_model(hppca.HppcaModel(groups, final, params, 0.99), root / "m.hpca")
 
 
 def test_formats_and_column_names_are_pinned(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import vector_matrix
-from texlat import hppca, ppca, pss
+from texlat import archive, hppca, ppca, pss
 from texlat.pss import PssParams, PssVector
 
 
@@ -85,10 +85,10 @@ class TestGroupSpectra:
         assert calls == []  # nothing is decomposed before a fit needs it
         grid = [(threshold, d) for threshold in (0.9, 0.999, 1.0) for d in (1, 4, 10)]
         for threshold, d in grid:
-            hppca.save_model(hppca.fit_hierarchy(spectra, threshold, d, params),
-                             tmp_path / "spectra.hpca")
-            hppca.save_model(hppca.fit_hierarchy(x, threshold, d, params),
-                             tmp_path / "matrix.hpca")
+            archive.save_model(hppca.fit_hierarchy(spectra, threshold, d, params),
+                               tmp_path / "spectra.hpca")
+            archive.save_model(hppca.fit_hierarchy(x, threshold, d, params),
+                               tmp_path / "matrix.hpca")
             assert ((tmp_path / "spectra.hpca").read_bytes()
                     == (tmp_path / "matrix.hpca").read_bytes())
         # the matrix fits decompose all 11 stages each; the spectra only their final stage
@@ -214,9 +214,9 @@ class TestModelSerialization:
         params, _, x = small_corpus
         model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
         p = tmp_path / "m.hpca"
-        hppca.save_model(model, p)
-        loaded = hppca.load_model(p)
-        hppca.save_model(loaded, tmp_path / "m2.hpca")
+        archive.save_model(model, p)
+        loaded = archive.load_model(p)
+        archive.save_model(loaded, tmp_path / "m2.hpca")
         assert p.read_bytes() == (tmp_path / "m2.hpca").read_bytes()
         assert loaded.intermediate_threshold == model.intermediate_threshold
         for a, b in zip(loaded.group_models + [loaded.final_model],
@@ -230,24 +230,24 @@ class TestModelSerialization:
         p = tmp_path / "m.hpca"
         p.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError, match="corrupt container"):
-            hppca.load_model(p)
+            archive.load_model(p)
 
     def test_version_mismatch_names_both_versions(self, small_corpus, tmp_path):
         params, _, x = small_corpus
         model = hppca.fit_hierarchy(x, 0.999, 2, params=params)
         p = tmp_path / "m.hpca"
-        hppca.save_model(model, p)
+        archive.save_model(model, p)
         raw = bytearray(p.read_bytes())
         raw[4] = 7
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=r"7.*1|1.*7"):
-            hppca.load_model(p)
+            archive.load_model(p)
 
     def test_truncation_detected(self, small_corpus, tmp_path):
         params, _, x = small_corpus
         model = hppca.fit_hierarchy(x, 0.999, 2, params=params)
         p = tmp_path / "m.hpca"
-        hppca.save_model(model, p)
+        archive.save_model(model, p)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="corrupt container"):
-            hppca.load_model(p)
+            archive.load_model(p)
