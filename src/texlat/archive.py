@@ -42,10 +42,10 @@ def _read_container(path, magic: bytes, version: int, kind: str, what: str, dim_
         raise ValueError(f"corrupt container: {path} has a truncated header")
     ver, n, k, m, *fields = head.unpack_from(buf, 4)
     if ver != version:
-        raise ValueError(f"version mismatch: file has {ver}, this build reads {version}")
+        raise ValueError(f"{path}: version mismatch: file has {ver}, this build reads {version}")
     params = PssParams(n, k, m)
     if fields[dim_at] != pss_dim(params):
-        raise ValueError("corrupt container: dimension header mismatch")
+        raise ValueError(f"corrupt container: dimension header mismatch in {path}")
     return buf, params, fields, 4 + head.size
 
 
@@ -119,10 +119,10 @@ def load_archive(path) -> FeatureArchive:
         pos = end
     rec = _record_dtype(dim)
     if len(buf) != pos + rec.itemsize * count:
-        raise ValueError(f"corrupt container: expected {count} records")
+        raise ValueError(f"corrupt container: expected {count} records in {path}")
     recs = np.frombuffer(buf, rec, count, pos)
     if count and recs["label"].max() >= len(classes):
-        raise ValueError("corrupt container: label out of range")
+        raise ValueError(f"corrupt container: label out of range in {path}")
     return FeatureArchive(params, classes, recs["label"].astype(np.int32),
                           [_text(b, path, "image id") for b in recs["id"].tolist()],
                           recs["features"].astype(np.float64))
@@ -139,11 +139,14 @@ def _unpack_block(buf: bytes, pos: int, where: str) -> tuple[PpcaModel, int]:
     dim, q = (int.from_bytes(buf[at:at + 4], "little") for at in (pos, pos + 4))
     end = pos + 16 + 8 * dim * (q + 2)
     if end > len(buf):
-        raise ValueError("corrupt container: truncated model block")
+        raise ValueError(f"corrupt container: truncated model block in {where}")
     values = np.frombuffer(buf, "<f8", 1 + dim * (q + 2), pos + 8).astype(np.float64)
     # the fits never write a non-finite mean or loading, and encode and decode use both
     if not np.isfinite(values[1:1 + dim * (q + 1)]).all():
         raise ValueError(f"corrupt container: {where} holds a non-finite mean or loading")
+    if not 0 <= values[0] < np.inf:  # fits write a mean of eigenvalues; encode divides by it
+        raise ValueError(f"corrupt container: {where} holds noise variance {values[0]}, "
+                         "not a finite value >= 0")
     mean, w, lam = np.split(values[1:], [dim, dim * (q + 1)])
     return PpcaModel(mean, w.reshape(dim, q), float(values[0]), lam, q), end
 
@@ -163,11 +166,11 @@ def load_model(path) -> HppcaModel:
     for gi, size in enumerate(group_sizes(params), 1):
         block, pos = _unpack_block(buf, pos, f"{path} block C{gi}")
         if block.dim != size:
-            raise ValueError("corrupt container: group block size mismatch")
+            raise ValueError(f"corrupt container: group block size mismatch in {path} block C{gi}")
         groups.append(block)
     final, pos = _unpack_block(buf, pos, f"{path} final block")
     if pos != len(buf):
-        raise ValueError("corrupt container: trailing bytes")
+        raise ValueError(f"corrupt container: trailing bytes in {path}")
     if final.dim != sum(g.q for g in groups) or final.q != d:
-        raise ValueError("corrupt container: final block inconsistent")
+        raise ValueError(f"corrupt container: final block inconsistent in {path}")
     return HppcaModel(groups, final, params, float(thr))

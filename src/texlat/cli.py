@@ -90,8 +90,8 @@ def _load_archive(path, params=None) -> ar.FeatureArchive:
 
 
 def _dataset(args):
-    """The class names and the (label, class, file) list of the chosen split.
-    Each root folder is a class; of its sorted .pgm/.png files the first
+    """The class names and the (label, "class/file" id, path) records of the chosen
+    split. Each root folder is a class; of its sorted .pgm/.png files the first
     --train-count (0: all) train, the next --eval-count (0: the rest) evaluate."""
     root = Path(args.dataset)
     if not root.is_dir():
@@ -99,7 +99,7 @@ def _dataset(args):
     classes = sorted(p.name for p in root.iterdir() if p.is_dir())
     if not classes:
         raise ValueError(f"dataset root {root} contains no class directories")
-    files = []
+    records = []
     for label, cls in enumerate(classes):
         split = sorted(p for p in (root / cls).iterdir() if p.suffix.lower() in (".pgm", ".png"))
         train_n = args.train_count or len(split)
@@ -109,8 +109,8 @@ def _dataset(args):
             split = split[train_n:train_n + (args.eval_count or len(split))]
         if not split:
             raise ValueError(f"class '{cls}' has no images for split '{args.split}'")
-        files += [(label, cls, f) for f in split]
-    return classes, files
+        records += [(label, f"{cls}/{f.name}", f) for f in split]
+    return classes, records
 
 
 def _pmap(fn, items, jobs: int):
@@ -131,12 +131,11 @@ def _magic(path) -> bytes:
 # extract
 
 def _extract_one(task):
-    label, ident, path, size, params = task
+    path, size, params = task
     try:
-        vec = pss.extract_pss(_prepare_image(path, size), params)
-        return label, ident, vec.values, None
+        return pss.extract_pss(_prepare_image(path, size), params).values, None
     except Exception as exc:  # collected per-file, reported at the end
-        return label, ident, None, f"{path}: {exc}"
+        return None, f"{path}: {exc}"
 
 
 def cmd_extract(args) -> int:
@@ -144,24 +143,22 @@ def cmd_extract(args) -> int:
     params = pss.PssParams(args.scales, args.orients, args.neighbor)
     if args.size:  # one message for a geometry every image would fail
         pss.check_size(args.size, params)
-    classes, files = _dataset(args)
-    tasks = [(label, f"{cls}/{f.name}", f, args.size, params) for label, cls, f in files]
-    log.info("extracting %d images from %d classes", len(tasks), len(classes))
+    classes, records = _dataset(args)
+    log.info("extracting %d images from %d classes", len(records), len(classes))
 
-    results = _pmap(_extract_one, tasks, args.jobs)
-    failures = [err for *_, err in results if err]
-    good = [(lab, ident, vals) for lab, ident, vals, err in results if not err]
-    for err in failures:
-        print(f"error: {err}", file=sys.stderr)
+    results = _pmap(_extract_one, [(f, args.size, params) for *_, f in records], args.jobs)
+    for _, err in results:
+        if err:
+            print(f"error: {err}", file=sys.stderr)
+    good = [(label, ident, vals) for (label, ident, _), (vals, err) in zip(records, results)
+            if not err]
     if good:
-        feats = np.stack([vals for *_, vals in good])
-        arch = ar.FeatureArchive(params, classes,
-                                 np.array([lab for lab, *_ in good], dtype=np.int32),
-                                 [ident for _, ident, _ in good], feats)
-        ar.save_archive(arch, args.output)
-    print(f"extracted {len(good)}/{len(tasks)} images "
+        labels, ids, feats = zip(*good)
+        ar.save_archive(ar.FeatureArchive(params, classes, np.array(labels, dtype=np.int32),
+                                          list(ids), np.stack(feats)), args.output)
+    print(f"extracted {len(good)}/{len(records)} images "
           + (f"-> {args.output}" if good else "; no archive written"), file=sys.stderr)
-    return 2 if failures else 0
+    return 2 if len(good) < len(records) else 0
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +254,7 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--row {args.row} out of range for {len(ids)} codes")
         code = codes[args.row]
         _check_finite(code[None], lambda r, c: f"{args.code}: row {args.row + 1}, column c{c},")
-        size = args.synth_size or 128
+        size = args.synth_size or args.size or 128
     decoded = hppca.decode(model, code)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed,
                                     size=size)
@@ -287,8 +284,8 @@ def cmd_eval(args) -> int:
         if not 0 < r <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {r}")
     model = ar.load_model(args.model)
-    class_names, files = _dataset(args)
-    items = [(f"{cls}/{f.name}", _prepare_image(f, args.size)) for _, cls, f in files]
+    class_names, records = _dataset(args)
+    items = [(ident, _prepare_image(f, args.size)) for _, ident, f in records]
     log.info("evaluating %d images", len(items))
 
     sweeps: list[tuple[str, hppca.HppcaModel]] = []
@@ -306,25 +303,22 @@ def cmd_eval(args) -> int:
     else:
         sweeps.append((str(model.output_dim), model))
 
-    header = (["value"] + [f"tss_{c}" for c in class_names]
-              + ["tss_all", "pss_err_all"])
     # one task per image, scored against every swept model; the partial
     # carries the context to workers under every start method
     per_image = _pmap(partial(synthesis.evaluate_image, [m for _, m in sweeps], cfg,
                               args.patch_size), list(enumerate(items)), args.jobs)
+    # (image, sweep) arrays: each report value is the mean of a column or of its class rows
+    tss = np.array([[row.tss for row in rows] for rows in per_image])
+    err = np.array([[row.pss_rel_err for row in rows] for rows in per_image])
+    labels = np.array([label for label, *_ in records])
     out_rows = []
     for j, (value, _) in enumerate(sweeps):
-        rows = [image_rows[j] for image_rows in per_image]
-        by_class = {c: [] for c in class_names}
-        for (_, cls, _), row in zip(files, rows):
-            by_class[cls].append(row.tss)
-        mean_all = float(np.mean([r.tss for r in rows]))
-        err_all = float(np.mean([r.pss_rel_err for r in rows]))
-        out_rows.append([value]
-                        + [_fmt(float(np.mean(by_class[c]))) for c in class_names]
-                        + [_fmt(mean_all), _fmt(err_all)])
-        log.info("sweep %s: mean TSS %.4f", value, mean_all)
-    _write_csv(args.output, header, out_rows)
+        means = ([np.mean(tss[labels == c, j]) for c in range(len(class_names))]
+                 + [np.mean(tss[:, j]), np.mean(err[:, j])])
+        out_rows.append([value] + [_fmt(x) for x in means])
+        log.info("sweep %s: mean TSS %.4f", value, means[-2])
+    _write_csv(args.output, ["value"] + [f"tss_{c}" for c in class_names]
+               + ["tss_all", "pss_err_all"], out_rows)
     print(f"wrote {len(out_rows)} report rows -> {args.output}", file=sys.stderr)
     return 0
 
@@ -450,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--synth-size", type=int, default=0,
-                   help="output side (default: input size, or 128 for codes)")
+                   help="output side (default: the input's size; for a code, "
+                        "--size, or 128 when --size is 0)")
     _add_preprocess(p)
     p.set_defaults(func=cmd_synth)
 

@@ -337,7 +337,7 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, params)
     terms = SourceTerms(a, patch_size)
-    rels, scored, moments = [], [], []
+    rels, scores, moments = [], [], []
     for model in models:
         decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
         rel = float(np.linalg.norm(decoded.values - v.values)
@@ -347,16 +347,15 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
         rels.append(rel)
         if cfg.iterations == 0:
             moments.append(_noise_moments(decoded))
-        else:
-            synth, _ = synthesize(decoded, run_cfg)
-            scored.append(sample_grid_tss(synth, terms, patch_size))
+        else:  # every sample has the image's side, so every count is the same
+            score, count = sample_grid_tss(synthesize(decoded, run_cfg)[0], terms, patch_size)
+            scores.append(score)
     if moments:
         scores, count = sample_grid_tss(_unit_noise(run_cfg), terms, patch_size, moments)
-        scored = [(score, count) for score in scores]
-    for score, _ in scored:
+    for score in scores:
         if not np.isfinite(score):
             raise NumericError(f"{image_id}: TSS is {score}")
-    return [EvalRow(image_id, score, rel, count) for rel, (score, count) in zip(rels, scored)]
+    return [EvalRow(image_id, score, rel, count) for rel, score in zip(rels, scores)]
 
 
 def evaluate_model(model, images: Iterable[tuple[str, np.ndarray]],

@@ -134,6 +134,22 @@ class TestExtract:
         assert "broken.pgm" in err
         assert "5/6" in err or "6/7" in err
 
+    def test_short_file_and_non_square_image_reported_and_counted(self, tmp_path, capsys,
+                                                                  rng):
+        cls = tmp_path / "ds" / "cls"
+        cls.mkdir(parents=True)
+        image.save_image(rng.uniform(0, 255, (32, 32)), cls / "a.pgm")
+        (cls / "b.pgm").write_bytes(b"P")
+        image.save_image(rng.uniform(0, 255, (32, 64)), cls / "c.pgm")
+        out = tmp_path / "f.pssa"
+        assert run("extract", tmp_path / "ds", "-o", out, *PARAMS, "--size", "0") == 2
+        err = capsys.readouterr().err
+        assert f"error: {cls / 'b.pgm'}: unsupported format: {cls / 'b.pgm'} is empty" in err
+        assert (f"error: {cls / 'c.pgm'}: statistic input must be square, "
+                "got shape (32, 64)") in err
+        assert f"extracted 1/3 images -> {out}" in err
+        assert load_archive(out).ids == ["cls/a.pgm"]
+
     def test_archive_version_mismatch_names_versions(self, pgm_dataset, tmp_path,
                                                      capsys):
         out = tmp_path / "f.pssa"
@@ -231,6 +247,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"group C3: Eigenvalues did not converge; its largest-magnitude entry is " \
                f"1e+300, record 0, column {name}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--ccr", "0"], "threshold must be in (0, 1], got 0.0"),
+        (["--ccr", "1.5"], "threshold must be in (0, 1], got 1.5"),
+        (["--dim", "0"], "output dimension must be >= 1, got 0")])
+    def test_bad_ccr_or_dim_fails_naming_the_rule(self, trained, tmp_path, capsys, flags,
+                                                  reason):
+        _, arch, _ = trained
+        out = tmp_path / "m2.hpca"
+        assert run("train", arch, "-o", out, *flags) == 2
+        assert f"error: {reason}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dim_above_intermediate_fails_with_both_numbers(self, trained, tmp_path,
@@ -379,6 +407,18 @@ class TestSynth:
         assert run("synth", model_path, "--code", codes, "--row", "2",
                    "-o", tmp_path / "s.pgm", "--iterations", "1",
                    "--synth-size", "32") == 0
+
+    @pytest.mark.parametrize("flags, side", [(["--size", "32"], 32),
+                                             (["--size", "32", "--synth-size", "64"], 64),
+                                             (["--size", "0"], 128)])
+    def test_code_route_side_is_synth_size_else_size_else_128(self, trained, tmp_path,
+                                                              flags, side):
+        _, arch, model_path = trained
+        codes, out = tmp_path / "codes.csv", tmp_path / "s.pgm"
+        assert run("encode", model_path, arch, "-o", codes) == 0
+        assert run("synth", model_path, "--code", codes, "-o", out, "--iterations", "0",
+                   *flags) == 0
+        assert image.load_image(out).shape == (side, side)
 
     def test_negative_synth_size_fails_naming_it(self, trained, tmp_path, capsys):
         root, _, model_path = trained
@@ -889,4 +929,26 @@ def test_non_finite_model_is_a_corrupt_container_naming_file_and_block(nf_base, 
         assert out.getvalue() == ""
         assert err.getvalue() == (f"error: corrupt container: {where} holds a non-finite "
                                   "mean or loading\n")
+    assert not any(p.exists() for p in (codes, decoded, synth))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -5.0])
+def test_bad_noise_variance_is_a_corrupt_container_naming_file_and_block(nf_base, tmp_path,
+                                                                         value):
+    root, _ = nf_base
+    model = archive.load_model(root / "base.hpca")
+    model.group_models[2].noise_var = value
+    bad = tmp_path / "bad.hpca"
+    archive.save_model(model, bad)  # the writer takes it; train never makes one
+    codes, decoded, synth = tmp_path / "c.csv", tmp_path / "d.csv", tmp_path / "s.pgm"
+    for argv in (["info", bad], ["encode", bad, root / "clean.pssa", "-o", codes],
+                 ["decode", bad, root / "codes.csv", "-o", decoded],
+                 ["synth", bad, "--code", root / "codes.csv", "--iterations", "1",
+                  "-o", synth]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(*argv) == 2, argv[0]
+        assert out.getvalue() == ""
+        assert err.getvalue() == (f"error: corrupt container: {bad} block C3 holds noise "
+                                  f"variance {value}, not a finite value >= 0\n")
     assert not any(p.exists() for p in (codes, decoded, synth))

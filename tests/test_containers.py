@@ -86,6 +86,22 @@ def test_info_on_other_version_exits_two_naming_both(valid_files, tmp_path, caps
     assert "version mismatch: file has 9, this build reads 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("magic, at, rule", [
+    ("PSSA", 4, "version mismatch: file has 9"), ("HPCA", 4, "version mismatch: file has 9"),
+    ("PSSA", 20, "corrupt container: dimension header mismatch"),  # D, the first kind field
+    ("HPCA", 32, "corrupt container: dimension header mismatch"),  # D, after threshold and d
+    ("PSSA", 24, "corrupt container: expected 9 records")])  # the record count
+def test_each_header_rule_names_the_file(valid_files, tmp_path, capsys, magic, at, rule):
+    raw = bytearray(valid_files[1][magic])
+    raw[at:at + 4] = struct.pack("<I", 9)
+    path = tmp_path / "edited.bin"
+    path.write_bytes(bytes(raw))
+    assert cli.main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert rule in err
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("magic", sorted(CONTAINERS))
 def test_huge_header_counts_fail_fast(valid_files, tmp_path, capsys, magic):
     # a layout of ~1e39 entries: sizing it must stay arithmetic, never enumerate it
@@ -145,7 +161,8 @@ def test_archive_round_trip_property(tmp_path_factory, params, classes, ids, dat
 
 @settings(max_examples=30, deadline=None)
 @given(params=_params, seed=st.integers(0, 2 ** 32 - 1), thr=st.floats(width=64),
-       noise=st.lists(st.floats(width=64), min_size=11, max_size=11), data=st.data())
+       noise=st.lists(st.floats(0, allow_infinity=False, width=64), min_size=11, max_size=11),
+       data=st.data())
 def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, data):
     rng = np.random.default_rng(seed)
 
@@ -268,7 +285,9 @@ def test_info_names_each_broken_model_rule(valid_files, tmp_path, capsys, rule):
     path = tmp_path / "m.hpca"
     path.write_bytes(_model_edit(valid_files[1]["HPCA"], rule))
     assert cli.main(["info", str(path)]) == 2
-    assert f"corrupt container: {rule}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"corrupt container: {rule}" in err
+    assert str(path) in err
 
 
 def test_info_names_an_archive_label_out_of_range(valid_files, tmp_path, capsys):
@@ -279,4 +298,6 @@ def test_info_names_an_archive_label_out_of_range(valid_files, tmp_path, capsys)
     path = tmp_path / "a.pssa"
     path.write_bytes(bytes(raw))
     assert cli.main(["info", str(path)]) == 2
-    assert "corrupt container: label out of range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt container: label out of range" in err
+    assert str(path) in err

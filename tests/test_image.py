@@ -114,6 +114,12 @@ class TestPgmIO:
         img = image.load_image(p)
         np.testing.assert_allclose(img, [[255.0, 32768 * 255.0 / 65535]])
 
+    def test_save_of_a_non_image_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        with pytest.raises(ValueError, match=r"expected a non-empty 2-D image, got shape \(5,\)"):
+            image.save_image(np.zeros(5), p)
+        assert not p.exists()
+
     def test_roundtrip_is_bit_exact_for_8bit(self, tmp_path, rng):
         data = rng.integers(0, 256, size=(17, 23)).astype(np.float64)
         p = tmp_path / "t.pgm"

@@ -217,3 +217,7 @@ class TestSpectrumTools:
             ppca.cumulative_contribution([1.0, -0.5])
         with pytest.raises(ValueError):
             ppca.choose_dim([1.0], 0.0)
+
+    def test_spectrum_that_is_not_a_vector_rejected(self):
+        with pytest.raises(ValueError, match="eigenvalues must be a non-empty 1-D vector"):
+            ppca.cumulative_contribution(np.ones((2, 2)))

@@ -390,6 +390,11 @@ class TestSampleGrid:
             synthesis.sample_grid_tss(rng.standard_normal((8, 8)),
                                       rng.standard_normal((32, 32)), 9)
 
+    def test_patch_size_below_one_rejected(self, rng):
+        img = rng.standard_normal((8, 8))
+        with pytest.raises(ValueError, match="patch size must be >= 1, got 0"):
+            synthesis.sample_grid_tss(img, img, 0)
+
 
 class TestEvaluateModel:
     @pytest.fixture
