@@ -43,7 +43,10 @@ def _read_container(path, magic: bytes, version: int, kind: str, what: str, dim_
     ver, n, k, m, *fields = head.unpack_from(buf, 4)
     if ver != version:
         raise ValueError(f"{path}: version mismatch: file has {ver}, this build reads {version}")
-    params = PssParams(n, k, m)
+    try:
+        params = PssParams(n, k, m)
+    except ValueError as exc:
+        raise ValueError(f"corrupt container: {path}: {exc}") from None
     if fields[dim_at] != pss_dim(params):
         raise ValueError(f"corrupt container: dimension header mismatch in {path}")
     return buf, params, fields, 4 + head.size
@@ -162,6 +165,8 @@ def save_model(model: HppcaModel, path) -> None:
 def load_model(path) -> HppcaModel:
     buf, params, (thr, d, _), pos = _read_container(path, MODEL_MAGIC, MODEL_VERSION,
                                                     "dII", "model file", 2)
+    if not 0 < thr <= 1:  # fits take a threshold in (0, 1] and store it as given
+        raise ValueError(f"corrupt container: {path} holds ccr threshold {thr}, not in (0, 1]")
     groups = []
     for gi, size in enumerate(group_sizes(params), 1):
         block, pos = _unpack_block(buf, pos, f"{path} block C{gi}")

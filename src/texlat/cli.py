@@ -134,8 +134,8 @@ def _extract_one(task):
     path, size, params = task
     try:
         return pss.extract_pss(_prepare_image(path, size), params).values, None
-    except Exception as exc:  # collected per-file, reported at the end
-        return None, f"{path}: {exc}"
+    except Exception as exc:  # collected per-file, reported at the end, each naming it once
+        return None, str(exc) if str(path) in str(exc) else f"{path}: {exc}"
 
 
 def cmd_extract(args) -> int:
@@ -166,7 +166,8 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     arch = _load_archive(args.archive)
-    model = hppca.fit_hierarchy(arch.features, args.ccr, args.dim, arch.params)
+    model = hppca.fit_hierarchy(hppca.GroupSpectra(arch.features, arch.params), args.ccr,
+                                args.dim)
     ar.save_model(model, args.output)
     if args.spectrum_csv:
         rows = []
@@ -295,11 +296,9 @@ def cmd_eval(args) -> int:
         arch = _load_archive(args.archive, model.params)
         spectra = hppca.GroupSpectra(arch.features, arch.params)  # shared by every refit
         for d in args.sweep_dim or []:
-            sweeps.append((str(d), hppca.fit_hierarchy(
-                spectra, model.intermediate_threshold, d, arch.params)))
+            sweeps.append((str(d), hppca.fit_hierarchy(spectra, model.intermediate_threshold, d)))
         for r in args.sweep_ccr or []:
-            sweeps.append((_fmt(r), hppca.fit_hierarchy(
-                spectra, r, model.output_dim, arch.params)))
+            sweeps.append((_fmt(r), hppca.fit_hierarchy(spectra, r, model.output_dim)))
     else:
         sweeps.append((str(model.output_dim), model))
 

@@ -71,17 +71,11 @@ class GroupSpectra:
         return out
 
 
-def fit_hierarchy(matrix, threshold: float, output_dim: int, params: PssParams) -> HppcaModel:
-    """Fit the grouped stage and the final stage.
-
-    `matrix` holds one statistic vector of `params` per row, or is their
-    GroupSpectra; `threshold` is the cumulative-contribution ratio used
-    for every group, and `output_dim` the final code length. An
-    output_dim above the achieved intermediate dimension is an error.
-    """
-    spectra = matrix if isinstance(matrix, GroupSpectra) else GroupSpectra(matrix, params)
-    if spectra.params != params:
-        raise ValueError(f"group spectra are for {spectra.params}, not {params}")
+def fit_hierarchy(spectra: GroupSpectra, threshold: float, output_dim: int) -> HppcaModel:
+    """Fit the grouped stage and the final stage on the statistic vectors of
+    `spectra`; `threshold` is the cumulative-contribution ratio used for every
+    group, and `output_dim` the final code length, at most the achieved
+    intermediate dimension."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if output_dim < 1:
@@ -99,7 +93,7 @@ def fit_hierarchy(matrix, threshold: float, output_dim: int, params: PssParams) 
             f"output dimension {output_dim} exceeds the {intermediate.shape[1]}"
             f"-dimensional intermediate representation")
     final = ppca.fit(intermediate, output_dim)
-    return HppcaModel(groups, final, params, threshold)
+    return HppcaModel(groups, final, spectra.params, threshold)
 
 
 def _group_latents(groups: list[PpcaModel], blocks) -> np.ndarray:

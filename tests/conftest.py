@@ -129,7 +129,7 @@ def synthetic_corpus(size, per_class, noise_seed=77):
 
 def vector_matrix(vectors):
     """Statistic vectors of one layout as the (matrix, params) pair that
-    hppca.fit_hierarchy takes."""
+    hppca.GroupSpectra takes."""
     return np.stack([v.values for v in vectors]), vectors[0].params
 
 

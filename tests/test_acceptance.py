@@ -212,7 +212,7 @@ def test_criterion_8_hppca_monotonicity():
     dims = [10, 50, 100, 200]
     models, errors = {}, []
     for d in dims:
-        m = hppca.fit_hierarchy(feats, 0.99999999, d, params=params)
+        m = hppca.fit_hierarchy(hppca.GroupSpectra(feats, params), 0.99999999, d)
         models[d] = m
         rec = hppca.decode_batch(m, hppca.encode_batch(m, feats))
         errors.append(float(np.linalg.norm(rec - feats) / np.linalg.norm(feats)))

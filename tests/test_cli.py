@@ -144,7 +144,8 @@ class TestExtract:
         out = tmp_path / "f.pssa"
         assert run("extract", tmp_path / "ds", "-o", out, *PARAMS, "--size", "0") == 2
         err = capsys.readouterr().err
-        assert f"error: {cls / 'b.pgm'}: unsupported format: {cls / 'b.pgm'} is empty" in err
+        assert f"error: unsupported format: {cls / 'b.pgm'} is empty" in err
+        assert err.count(str(cls / "b.pgm")) == 1
         assert (f"error: {cls / 'c.pgm'}: statistic input must be square, "
                 "got shape (32, 64)") in err
         assert f"extracted 1/3 images -> {out}" in err
@@ -576,8 +577,8 @@ class TestEval:
         arch, model = load_archive(arch_path), archive.load_model(model_path)
         body = read_csv(report)[1:]
         for d, row in zip((2, 3), body):
-            swept = hppca.fit_hierarchy(arch.features, model.intermediate_threshold, d,
-                                        params=arch.params)
+            swept = hppca.fit_hierarchy(hppca.GroupSpectra(arch.features, arch.params),
+                                        model.intermediate_threshold, d)
             rows = synthesis.evaluate_model(swept, items,
                                             synthesis.SynthesisConfig(iterations=1), 9)
             tss = [r.tss for r in rows]
@@ -614,8 +615,8 @@ class TestEval:
         body = read_csv(report)[1:]
         assert len(body) == 2
         for ccr, row in zip((0.999, 0.9999), body):
-            swept = hppca.fit_hierarchy(arch.features, ccr, model.output_dim,
-                                        params=arch.params)
+            swept = hppca.fit_hierarchy(hppca.GroupSpectra(arch.features, arch.params), ccr,
+                                        model.output_dim)
             rows = synthesis.evaluate_model(swept, items,
                                             synthesis.SynthesisConfig(iterations=1), 9)
             tss = [r.tss for r in rows]
@@ -952,3 +953,67 @@ def test_bad_noise_variance_is_a_corrupt_container_naming_file_and_block(nf_base
         assert err.getvalue() == (f"error: corrupt container: {bad} block C3 holds noise "
                                   f"variance {value}, not a finite value >= 0\n")
     assert not any(p.exists() for p in (codes, decoded, synth))
+
+
+@pytest.mark.parametrize("value", [np.nan, 5.0, 0.0, -1.0])
+def test_threshold_outside_unit_interval_is_a_corrupt_container_naming_file(nf_base, tmp_path,
+                                                                            value):
+    root, _ = nf_base
+    model = archive.load_model(root / "base.hpca")
+    model.intermediate_threshold = value
+    bad = tmp_path / "bad.hpca"
+    archive.save_model(model, bad)  # the writer takes it; train never makes one
+    codes, report = tmp_path / "c.csv", tmp_path / "r.csv"
+    for argv in (["info", bad], ["encode", bad, root / "clean.pssa", "-o", codes],
+                 ["eval", bad, root / "data", "--size", "16", "--archive", root / "clean.pssa",
+                  "--sweep-dim", "1", "--iterations", "0", "--patch-size", "3", "-o", report]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(*argv) == 2, argv[0]
+        assert out.getvalue() == ""
+        assert err.getvalue() == (f"error: corrupt container: {bad} holds ccr threshold "
+                                  f"{value}, not in (0, 1]\n")
+    assert not codes.exists() and not report.exists()
+
+
+# 1-3 byte edits (r), insertions (i) or deletions (d); about half of them land
+# in the first 36 bytes, the header, where the loaders' rules are densest
+_byte_edits = st.lists(st.tuples(st.sampled_from("rid"),
+                                 st.integers(0, 35) | st.floats(0.0, 1.0, exclude_max=True),
+                                 st.integers(0, 255)), min_size=1, max_size=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["pssa", "hpca"]), edits=_byte_edits)
+def test_mutated_container_exits_cleanly(nf_base, tmp_path_factory, kind, edits):
+    """info exits 0, or 2 naming the file; every command exits 0, 2, or 3 on
+    a numeric failure; no exception escapes main."""
+    root, _ = nf_base
+    raw = bytearray((root / ("clean.pssa" if kind == "pssa" else "base.hpca")).read_bytes())
+    for op, where, byte in edits:
+        at = where if isinstance(where, int) else int(where * len(raw))
+        if op == "i":
+            raw.insert(at, byte)
+        elif op == "d":
+            del raw[at]
+        else:
+            raw[at] = byte
+    work = tmp_path_factory.getbasetemp() / "mutants"
+    work.mkdir(exist_ok=True)
+    bad, out = work / f"bad.{kind}", work / "out"
+    bad.write_bytes(bytes(raw))
+    if kind == "pssa":
+        uses = [["encode", root / "base.hpca", bad, "-o", out], ["train", bad, "-o", out, "--dim", "2"]]
+    else:
+        uses = [["encode", bad, root / "clean.pssa", "-o", out],
+                ["decode", bad, root / "codes.csv", "-o", out]]
+    for argv in [["info", bad], *uses]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*argv)
+        if argv[0] == "info":
+            assert code == 0 or (code == 2 and str(bad) in err.getvalue()), err.getvalue()
+        else:
+            assert code in (0, 2) or (code == 3 and "numeric failure: " in err.getvalue()), \
+                (argv[0], code, err.getvalue())

@@ -27,7 +27,7 @@ def _archive(path):
 def _model(path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((12, pss.pss_dim(PARAMS)))
-    archive.save_model(hppca.fit_hierarchy(x, 0.9, 2, params=PARAMS), path)
+    archive.save_model(hppca.fit_hierarchy(hppca.GroupSpectra(x, PARAMS), 0.9, 2), path)
 
 
 CONTAINERS = {"PSSA": (_archive, load_archive), "HPCA": (_model, archive.load_model)}
@@ -102,6 +102,20 @@ def test_each_header_rule_names_the_file(valid_files, tmp_path, capsys, magic, a
     assert str(path) in err
 
 
+@pytest.mark.parametrize("at, value, reason", [
+    (8, 0, "n_scales must be >= 1, got 0"), (12, 0, "n_orientations must be >= 1, got 0"),
+    (16, 4, "neighborhood must be odd and >= 3, got 4")], ids=["N", "K", "M"])
+@pytest.mark.parametrize("magic", sorted(CONTAINERS))
+def test_header_parameters_that_pss_params_rejects_are_a_corrupt_container(
+        valid_files, tmp_path, capsys, magic, at, value, reason):
+    raw = bytearray(valid_files[1][magic])
+    raw[at:at + 4] = struct.pack("<I", value)
+    path = tmp_path / "edited.bin"
+    path.write_bytes(bytes(raw))
+    assert cli.main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: corrupt container: {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("magic", sorted(CONTAINERS))
 def test_huge_header_counts_fail_fast(valid_files, tmp_path, capsys, magic):
     # a layout of ~1e39 entries: sizing it must stay arithmetic, never enumerate it
@@ -160,7 +174,8 @@ def test_archive_round_trip_property(tmp_path_factory, params, classes, ids, dat
 
 
 @settings(max_examples=30, deadline=None)
-@given(params=_params, seed=st.integers(0, 2 ** 32 - 1), thr=st.floats(width=64),
+@given(params=_params, seed=st.integers(0, 2 ** 32 - 1),
+       thr=st.floats(0, 1, exclude_min=True, width=64),
        noise=st.lists(st.floats(0, allow_infinity=False, width=64), min_size=11, max_size=11),
        data=st.data())
 def test_model_round_trip_property(tmp_path_factory, params, seed, thr, noise, data):

@@ -28,7 +28,7 @@ class TestFitHierarchy:
     def test_rank2_groups_give_two_latents_each(self, rng):
         params = PssParams(1, 1, 3)
         x = rank2_blocks(rng, pss.group_sizes(params), 60)
-        model = hppca.fit_hierarchy(x, 0.999, 7, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 7)
         ranks = tuple(min(2, s) for s in pss.group_sizes(params))  # C5, C8 and C10 are one column
         assert model.group_dims == ranks
         assert model.intermediate_dim == sum(ranks) == 17
@@ -37,7 +37,7 @@ class TestFitHierarchy:
         params, _, x = small_corpus
         xc = x.copy()
         xc[:, params.group_slice(10)] = 5.0
-        model = hppca.fit_hierarchy(xc, 0.999, 3, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(xc, params), 0.999, 3)
         g10 = model.group_models[9]
         assert g10.q == 1
         enc = ppca.encode(g10, xc[:, params.group_slice(10)])
@@ -50,28 +50,28 @@ class TestFitHierarchy:
         x = rng.standard_normal((12, pss.pss_dim(params)))
         g9 = params.group_slice(9)
         x[:, g9] = 127 * rng.standard_normal(3) + 127e-16 * rng.standard_normal((12, 3))
-        model = hppca.fit_hierarchy(x, 0.999, 3, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         enc = ppca.encode(model.group_models[8], x[:, g9])
         np.testing.assert_array_equal(enc, np.zeros_like(enc))
 
     def test_output_dim_above_intermediate_is_an_error(self, small_corpus):
         params, _, x = small_corpus
-        probe = hppca.fit_hierarchy(x, 0.9, 1, params=params)
+        probe = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.9, 1)
         too_big = probe.intermediate_dim + 1
         with pytest.raises(ValueError, match=str(probe.intermediate_dim)):
-            hppca.fit_hierarchy(x, 0.9, too_big, params=params)
+            hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.9, too_big)
 
     def test_inconsistent_layouts_rejected(self, small_corpus, rng):
         params, _, _ = small_corpus
         other, _ = vector_matrix([pss.extract_pss(rng.standard_normal((32, 32)),
                                                   PssParams(2, 2, 5)) for _ in range(3)])
         with pytest.raises(ValueError, match="layout"):
-            hppca.fit_hierarchy(other, 0.9, 2, params=params)
+            hppca.fit_hierarchy(hppca.GroupSpectra(other, params), 0.9, 2)
 
     def test_too_few_samples_rejected(self, small_corpus):
         params, _, x = small_corpus
         with pytest.raises(ValueError):
-            hppca.fit_hierarchy(x[:1], 0.9, 2, params=params)
+            hppca.fit_hierarchy(hppca.GroupSpectra(x[:1], params), 0.9, 2)
 
 
 class TestGroupSpectra:
@@ -85,13 +85,13 @@ class TestGroupSpectra:
         assert calls == []  # nothing is decomposed before a fit needs it
         grid = [(threshold, d) for threshold in (0.9, 0.999, 1.0) for d in (1, 4, 10)]
         for threshold, d in grid:
-            archive.save_model(hppca.fit_hierarchy(spectra, threshold, d, params),
+            archive.save_model(hppca.fit_hierarchy(spectra, threshold, d),
                                tmp_path / "spectra.hpca")
-            archive.save_model(hppca.fit_hierarchy(x, threshold, d, params),
-                               tmp_path / "matrix.hpca")
+            archive.save_model(hppca.fit_hierarchy(hppca.GroupSpectra(x, params), threshold,
+                                                   d), tmp_path / "matrix.hpca")
             assert ((tmp_path / "spectra.hpca").read_bytes()
                     == (tmp_path / "matrix.hpca").read_bytes())
-        # the matrix fits decompose all 11 stages each; the spectra only their final stage
+        # a fresh GroupSpectra decomposes all 11 stages; the shared one only the final stage
         assert len(calls) == 10 + len(grid) * (1 + 11)
 
     @pytest.mark.parametrize("take", [lambda x: x[0], lambda x: x[None]],
@@ -101,21 +101,11 @@ class TestGroupSpectra:
         with pytest.raises(ValueError, match=r"data shape \(.*\) does not match layout dim 142"):
             hppca.GroupSpectra(take(x), params)
 
-    def test_spectra_of_another_layout_rejected(self, small_corpus, rng):
-        params, _, _ = small_corpus
-        other, other_params = vector_matrix([pss.extract_pss(rng.standard_normal((32, 32)),
-                                                             PssParams(2, 2, 5))
-                                             for _ in range(3)])
-        spectra = hppca.GroupSpectra(other, other_params)
-        reason = r"group spectra are for PssParams\(.*=5\), not PssParams\(.*=3\)"
-        with pytest.raises(ValueError, match=reason):
-            hppca.fit_hierarchy(spectra, 0.9, 2, params)
-
 
 class TestEncodeDecode:
     def test_code_length_and_mean_behavior(self, small_corpus):
         params, vecs, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
         code = hppca.encode(model, vecs[0])
         assert code.shape == (5,)
         mean_vec = PssVector(x.mean(axis=0), params)
@@ -125,7 +115,7 @@ class TestEncodeDecode:
 
     def test_encode_is_affine(self, small_corpus, rng):
         params, vecs, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
         a = rng.standard_normal(pss.pss_dim(params))
         b = rng.standard_normal(pss.pss_dim(params))
         base = vecs[0].values
@@ -136,7 +126,7 @@ class TestEncodeDecode:
 
     def test_roundtrip_idempotent(self, small_corpus):
         params, vecs, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 6, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 6)
         once = hppca.decode(model, hppca.encode(model, vecs[3]))
         twice = hppca.decode(model, hppca.encode(model, once))
         np.testing.assert_allclose(twice.values, once.values, atol=1e-8)
@@ -145,7 +135,7 @@ class TestEncodeDecode:
         params, _, x = small_corpus
         errs = []
         for d in (1, 2, 4, 8):
-            m = hppca.fit_hierarchy(x, 0.999, d, params=params)
+            m = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, d)
             rec = hppca.decode_batch(m, hppca.encode_batch(m, x))
             errs.append(np.linalg.norm(rec - x))
         assert all(np.diff(errs) <= 1e-9)
@@ -155,7 +145,7 @@ class TestEncodeDecode:
         # the two-stage round trip equals the group-stage-only round trip
         params = PssParams(1, 1, 3)
         x = rank2_blocks(rng, pss.group_sizes(params), 60)
-        model = hppca.fit_hierarchy(x, 1.0 - 1e-9, 17, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 1.0 - 1e-9, 17)
         assert model.intermediate_dim == 17
         assert model.final_model.noise_var <= 1e-10
         two_stage = hppca.decode_batch(model, hppca.encode_batch(model, x))
@@ -167,7 +157,7 @@ class TestEncodeDecode:
 
     def test_group_independence_before_final_stage(self, small_corpus, rng):
         params, vecs, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
         base = vecs[0].values
         bumped = base.copy()
         bumped[params.group_slice(3)] += rng.standard_normal(pss.group_sizes(params)[2])
@@ -182,7 +172,7 @@ class TestEncodeDecode:
 
     def test_layout_mismatch_rejected(self, small_corpus, rng):
         params, _, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
         other = pss.extract_pss(rng.standard_normal((32, 32)), PssParams(2, 2, 5))
         with pytest.raises(ValueError, match="layout"):
             hppca.encode(model, other)
@@ -204,7 +194,7 @@ class TestReductionRate:
 
     def test_full_width_code_reduces_nothing(self, small_corpus):
         params, _, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 3, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         model.final_model.q = pss.pss_dim(params)  # hypotheticalident-width code
         assert hppca.reduction_rate(model) == 0.0
 
@@ -212,7 +202,7 @@ class TestReductionRate:
 class TestModelSerialization:
     def test_roundtrip_bit_exact(self, small_corpus, tmp_path):
         params, _, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 5, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
         p = tmp_path / "m.hpca"
         archive.save_model(model, p)
         loaded = archive.load_model(p)
@@ -234,7 +224,7 @@ class TestModelSerialization:
 
     def test_version_mismatch_names_both_versions(self, small_corpus, tmp_path):
         params, _, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 2, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 2)
         p = tmp_path / "m.hpca"
         archive.save_model(model, p)
         raw = bytearray(p.read_bytes())
@@ -245,7 +235,7 @@ class TestModelSerialization:
 
     def test_truncation_detected(self, small_corpus, tmp_path):
         params, _, x = small_corpus
-        model = hppca.fit_hierarchy(x, 0.999, 2, params=params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 2)
         p = tmp_path / "m.hpca"
         archive.save_model(model, p)
         p.write_bytes(p.read_bytes()[:-16])

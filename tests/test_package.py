@@ -56,7 +56,8 @@ def test_csv_files_are_utf8_under_an_ascii_locale(tmp_path):
     arch, model = tmp_path / "f.pssa", tmp_path / "m.hpca"
     texlat.save_archive(texlat.FeatureArchive(params, ["é"], np.zeros(8, np.int32),
                                               [f"é/{i}.pgm" for i in range(8)], feats), arch)
-    texlat.save_model(texlat.fit_hierarchy(feats, 0.999, 2, params), model)
+    texlat.save_model(texlat.fit_hierarchy(texlat.hppca.GroupSpectra(feats, params), 0.999,
+                                           2), model)
     codes, decoded = tmp_path / "codes.csv", tmp_path / "dec.csv"
     assert cli.main(["encode", str(model), str(arch), "-o", str(codes)]) == 0
     assert cli.main(["decode", str(model), str(codes), "-o", str(decoded)]) == 0

@@ -297,3 +297,21 @@ def test_transposition_permutes_orientations_and_transposes_lags(seed, side, n, 
         want = expect[g].ravel() if g in expect else v.group(g)  # C1, C2, C9, C10 stay
         assert np.abs(vt.group(g) - want).max() <= 1e-12 * np.abs(want).max(), g
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), side=st.sampled_from([32, 64]),
+       a=st.floats(0.1, 10), b=st.floats(-100, 100))
+def test_gain_and_offset_map_every_group_as_the_math_says(seed, side, a, b):
+    # under x -> a x + b (a > 0): C2-C8 are normalized, so they stay; C1's mean,
+    # min and max map to a v + b, its variance to a^2 v, skew and kurtosis stay;
+    # C9 scales by a but for the low-pass mean, a v + b; C10 scales by a^2
+    img = np.random.default_rng(seed).uniform(0, 255, (side, side))
+    v, vt = extract(img, 3, 4, 7), extract(a * img + b, 3, 4, 7)
+    expect = {g: v.group(g) for g in range(2, 9)}
+    expect[1] = v.group(1) * [a, a * a, 1, 1, a, a] + [b, 0, 0, 0, b, b]
+    expect[9] = a * v.group(9)
+    expect[9][-2] += b
+    expect[10] = a * a * v.group(10)
+    for g, want in expect.items():
+        assert np.abs(vt.group(g) - want).max() <= 1e-12 * np.abs(want).max(), g

@@ -407,7 +407,7 @@ class TestEvaluateModel:
 
     def test_rows_and_bounds(self, tiny_setup):
         params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 4, params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 4)
         rows = synthesis.evaluate_model(model, imgs[:3],
                                         SynthesisConfig(iterations=2, seed=5),
                                         patch_size=9)
@@ -419,7 +419,8 @@ class TestEvaluateModel:
 
     def test_near_lossless_model_attains_tiny_pss_error(self, tiny_setup):
         params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(x, 1.0 - 1e-12, x.shape[0] - 1, params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 1.0 - 1e-12,
+                                    x.shape[0] - 1)
         rows = synthesis.evaluate_model(model, imgs[:2],
                                         SynthesisConfig(iterations=0, seed=5),
                                         patch_size=9)
@@ -428,7 +429,7 @@ class TestEvaluateModel:
 
     def test_deterministic(self, tiny_setup):
         params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         cfg = SynthesisConfig(iterations=2, seed=9)
         r1 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
         r2 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
@@ -436,7 +437,8 @@ class TestEvaluateModel:
 
     def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
         params, imgs, x = tiny_setup
-        models = [hppca.fit_hierarchy(x, 0.999, d, params) for d in (2, 4)]
+        models = [hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, d)
+                  for d in (2, 4)]
         cfg = SynthesisConfig(iterations=0, seed=5)
         index, (image_id, img) = 3, imgs[3]
         rows = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
@@ -449,7 +451,7 @@ class TestEvaluateModel:
 
     def test_non_finite_decoded_statistic_raises(self, tiny_setup, monkeypatch):
         params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         decode = hppca.decode
 
         def non_finite(m, code):
@@ -463,7 +465,7 @@ class TestEvaluateModel:
 
     def test_empty_set_rejected(self, tiny_setup):
         params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(x, 0.999, 3, params)
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         with pytest.raises(ValueError):
             synthesis.evaluate_model(model, [], SynthesisConfig(iterations=0))
 
