@@ -15,9 +15,8 @@ from .pss import NumericError, PssParams, PssVector, column_names, extract_pss, 
 from .ppca import (PpcaModel, choose_dim, cumulative_contribution, decode as
                    ppca_decode, encode as ppca_encode, fit as ppca_fit)
 from .hppca import HppcaModel, decode, encode, fit_hierarchy, reduction_rate
-from .synthesis import (EvalRow, SynthesisConfig, TssReport, default_weights,
-                        evaluate_model, pss_distance, pss_gradient,
-                        sample_grid_tss, synthesize, tss)
+from .synthesis import (SynthesisConfig, TssReport, default_weights, pss_distance,
+                        pss_gradient, sample_grid_tss, synthesize, tss)
 from .archive import FeatureArchive, load_archive, load_model, save_archive, save_model
 
 __version__ = "0.1.0"
@@ -31,9 +30,8 @@ __all__ = [
     "cumulative_contribution", "choose_dim",
     "HppcaModel", "fit_hierarchy", "encode", "decode", "reduction_rate",
     "save_model", "load_model",
-    "SynthesisConfig", "TssReport", "EvalRow", "default_weights",
+    "SynthesisConfig", "TssReport", "default_weights",
     "pss_distance", "pss_gradient", "synthesize", "tss", "sample_grid_tss",
-    "evaluate_model",
     "FeatureArchive", "save_archive", "load_archive",
     "__version__",
 ]

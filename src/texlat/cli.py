@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import archive as ar
-from . import hppca, image, pss, pyramid, synthesis
+from . import hppca, image, ppca, pss, pyramid, synthesis
 
 log = logging.getLogger("texlat")
 
@@ -276,17 +276,16 @@ def cmd_eval(args) -> int:
     _check_counts(args)
     cfg = synthesis.SynthesisConfig(iterations=args.iterations, seed=args.seed)
     # the checks the scoring and the refits would make, before either has work to waste
-    if args.patch_size < 1:
-        raise ValueError(f"patch size must be >= 1, got {args.patch_size}")
+    synthesis._check_patch(args.patch_size)
     for d in args.sweep_dim or []:
-        if d < 1:
-            raise ValueError(f"output dimension must be >= 1, got {d}")
+        hppca._check_output_dim(d)
     for r in args.sweep_ccr or []:
-        if not 0 < r <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {r}")
+        ppca._check_threshold(r)
     model = ar.load_model(args.model)
     class_names, records = _dataset(args)
     items = [(ident, _prepare_image(f, args.size)) for _, ident, f in records]
+    for ident, img in items:  # the scoring's own check, before any refit
+        synthesis._check_patch(args.patch_size, img.shape, f"image {ident}")
     log.info("evaluating %d images", len(items))
 
     sweeps: list[tuple[str, hppca.HppcaModel]] = []
@@ -307,8 +306,7 @@ def cmd_eval(args) -> int:
     per_image = _pmap(partial(synthesis.evaluate_image, [m for _, m in sweeps], cfg,
                               args.patch_size), list(enumerate(items)), args.jobs)
     # (image, sweep) arrays: each report value is the mean of a column or of its class rows
-    tss = np.array([[row.tss for row in rows] for rows in per_image])
-    err = np.array([[row.pss_rel_err for row in rows] for rows in per_image])
+    tss, err = np.array(per_image).transpose(1, 0, 2)
     labels = np.array([label for label, *_ in records])
     out_rows = []
     for j, (value, _) in enumerate(sweeps):

@@ -71,15 +71,18 @@ class GroupSpectra:
         return out
 
 
+def _check_output_dim(output_dim: int) -> None:
+    if output_dim < 1:
+        raise ValueError(f"output dimension must be >= 1, got {output_dim}")
+
+
 def fit_hierarchy(spectra: GroupSpectra, threshold: float, output_dim: int) -> HppcaModel:
     """Fit the grouped stage and the final stage on the statistic vectors of
     `spectra`; `threshold` is the cumulative-contribution ratio used for every
     group, and `output_dim` the final code length, at most the achieved
     intermediate dimension."""
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if output_dim < 1:
-        raise ValueError(f"output dimension must be >= 1, got {output_dim}")
+    ppca._check_threshold(threshold)
+    _check_output_dim(output_dim)
 
     groups = []
     for mu, eigvals, vecs in spectra.groups:

@@ -120,9 +120,13 @@ def cumulative_contribution(eigenvalues) -> np.ndarray:
     return ccr / ccr[-1]
 
 
-def choose_dim(eigenvalues, threshold: float) -> int:
-    """Smallest q whose cumulative contribution reaches the threshold."""
+def _check_threshold(threshold: float) -> None:
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
+def choose_dim(eigenvalues, threshold: float) -> int:
+    """Smallest q whose cumulative contribution reaches the threshold."""
+    _check_threshold(threshold)
     ccr = cumulative_contribution(eigenvalues)
     return int(np.argmax(ccr >= threshold)) + 1

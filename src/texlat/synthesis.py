@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,7 +54,7 @@ class SynthesisConfig:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
 
 def default_weights(target: PssVector) -> np.ndarray:
@@ -216,6 +215,13 @@ class TssReport:
     location: tuple[int, int]  # top-left of the best-matching source patch
 
 
+def _check_patch(p: int, shape=None, name="source") -> None:
+    if p < 1:
+        raise ValueError(f"patch size must be >= 1, got {p}")
+    if shape is not None and (len(shape) != 2 or min(shape) < p):
+        raise ValueError(f"{name} {shape} is smaller than the {p}x{p} sample")
+
+
 class SourceTerms:
     """What every p x p sample needs of one source: its spectrum, each
     window's inverse norm (0 for a zero window) and sum times that norm.
@@ -223,13 +229,9 @@ class SourceTerms:
     it, and kept for every later sample scored against the same source."""
 
     def __init__(self, source, patch_size: int):
-        p = patch_size
-        if p < 1:
-            raise ValueError(f"patch size must be >= 1, got {p}")
         x = np.asarray(source, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < p or x.shape[1] < p:
-            raise ValueError(f"source {x.shape} is smaller than the {p}x{p} sample")
-        self.source, self.patch_size = x, p
+        _check_patch(patch_size, x.shape)
+        self.source, self.patch_size = x, patch_size
 
     @cached_property
     def spec(self) -> np.ndarray:
@@ -311,16 +313,8 @@ def sample_grid_tss(image, source, patch_size: int, moments=None):
     return (means[0] if moments is None else means), len(scores)
 
 
-@dataclass
-class EvalRow:
-    image_id: str
-    tss: float
-    pss_rel_err: float
-    samples: int
-
-
-def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[EvalRow]:
-    """Score image `index` of a set against each model, one row per model.
+def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task):
+    """Score image `index` of a set against each model.
 
     The image's statistic and source terms are built once; for each model
     the statistic is encoded, decoded, resynthesized with seed
@@ -328,40 +322,29 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task) -> list[
     so a report is independent of any parallel scheduling. At zero
     iterations the sample is initial_image of the decoded statistic, with
     no statistic computed of it, and one sample_grid_tss call scores every
-    model's sample. Raises NumericError when a decoded statistic, a
-    relative error or a score is not finite.
+    model's sample. Returns (tss, rel_err): float64 arrays with one entry
+    per model, in model order, of the sample's TSS and the decoded
+    statistic's relative error |decoded - v| / |v|. Raises NumericError
+    when a decoded statistic, a relative error or a score is not finite.
     """
     index, (image_id, img) = task
     a = np.asarray(img, dtype=np.float64)
-    params = models[0].params
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
-    v = pss_mod.extract_pss(a, params)
+    v = pss_mod.extract_pss(a, models[0].params)
     terms = SourceTerms(a, patch_size)
-    rels, scores, moments = [], [], []
-    for model in models:
-        decoded = hppca_mod.decode(model, hppca_mod.encode(model, v))
-        rel = float(np.linalg.norm(decoded.values - v.values)
-                    / max(np.linalg.norm(v.values), 1e-300))
-        if not np.isfinite(rel):  # also catches every non-finite decoded value
+    decoded = [hppca_mod.decode(m, hppca_mod.encode(m, v)) for m in models]
+    rel_err = (np.array([np.linalg.norm(d.values - v.values) for d in decoded])
+               / max(np.linalg.norm(v.values), 1e-300))
+    for rel in rel_err:  # also catches every non-finite decoded value
+        if not np.isfinite(rel):
             raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
-        rels.append(rel)
-        if cfg.iterations == 0:
-            moments.append(_noise_moments(decoded))
-        else:  # every sample has the image's side, so every count is the same
-            score, count = sample_grid_tss(synthesize(decoded, run_cfg)[0], terms, patch_size)
-            scores.append(score)
-    if moments:
-        scores, count = sample_grid_tss(_unit_noise(run_cfg), terms, patch_size, moments)
-    for score in scores:
+    if cfg.iterations == 0:
+        tss = np.array(sample_grid_tss(_unit_noise(run_cfg), terms, patch_size,
+                                       [_noise_moments(d) for d in decoded])[0])
+    else:
+        tss = np.array([sample_grid_tss(synthesize(d, run_cfg)[0], terms, patch_size)[0]
+                        for d in decoded])
+    for score in tss:
         if not np.isfinite(score):
             raise NumericError(f"{image_id}: TSS is {score}")
-    return [EvalRow(image_id, score, rel, count) for rel, score in zip(rels, scores)]
-
-
-def evaluate_model(model, images: Iterable[tuple[str, np.ndarray]],
-                   cfg: SynthesisConfig, patch_size: int = 19) -> list[EvalRow]:
-    """Extract, encode, decode, synthesize and score each image."""
-    rows = [evaluate_image([model], cfg, patch_size, task)[0] for task in enumerate(images)]
-    if not rows:
-        raise ValueError("empty image set")
-    return rows
+    return tss, rel_err

@@ -220,12 +220,11 @@ def test_criterion_8_hppca_monotonicity():
 
     subset = [(ident, img) for _, ident, img in
               (corpus[i] for i in range(0, len(corpus), 11))]
-    tss_means = []
-    for d in dims:
-        rows = synthesis.evaluate_model(
-            models[d], subset, SynthesisConfig(iterations=50, seed=100),
-            patch_size=19)
-        tss_means.append(float(np.mean([r.tss for r in rows])))
+    # every swept model scores each image in one call, as eval does
+    cfg = SynthesisConfig(iterations=50, seed=100)
+    tss = np.array([synthesis.evaluate_image([models[d] for d in dims], cfg, 19, task)[0]
+                    for task in enumerate(subset)])
+    tss_means = [float(np.mean(col)) for col in tss.T]
 
     rank = lambda v: np.argsort(np.argsort(v)).astype(float)
     ra, rb = rank(np.arange(4)), rank(np.array(tss_means))

@@ -33,6 +33,19 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def expected_report_row(root, model, iterations):
+    """The report values of one model: the per-class and overall means of
+    evaluate_image([model], ...) over the fixture's images, then the mean
+    relative error."""
+    items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
+             for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
+    cfg = synthesis.SynthesisConfig(iterations=iterations)
+    tss, err = np.array([synthesis.evaluate_image([model], cfg, 9, task)
+                         for task in enumerate(items)])[..., 0].T
+    return [float(x) for x in (np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
+                               np.mean(err))]
+
+
 class TestExtract:
     def test_archive_contents(self, pgm_dataset, tmp_path):
         out = tmp_path / "f.pssa"
@@ -502,19 +515,13 @@ class TestEval:
         assert rows[1][0] == "3"
         assert -1.0 <= float(rows[1][3]) <= 1.0
 
-    def test_report_is_the_mean_of_evaluate_model_rows(self, trained, tmp_path):
+    def test_report_is_the_mean_of_evaluate_image_scores(self, trained, tmp_path):
         root, _, model_path = trained
         report = tmp_path / "r.csv"
         assert run("eval", model_path, root, "-o", report, "--size", "32",
                    "--iterations", "2", "--patch-size", "9") == 0
-        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
-                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
-        rows = synthesis.evaluate_model(archive.load_model(model_path), items,
-                                        synthesis.SynthesisConfig(iterations=2), 9)
-        tss = [r.tss for r in rows]
-        expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
-                  np.mean([r.pss_rel_err for r in rows])]
-        assert [float(x) for x in read_csv(report)[1][1:]] == [float(x) for x in expect]
+        expect = expected_report_row(root, archive.load_model(model_path), 2)
+        assert [float(x) for x in read_csv(report)[1][1:]] == expect
 
     def test_jobs_do_not_change_report(self, trained, tmp_path):
         root, _, model_path = trained
@@ -572,20 +579,13 @@ class TestEval:
                    "--iterations", "1", "--patch-size", "9") == 0
         assert len(calls) == 6  # one per image, not one per image and d
 
-        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
-                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
         arch, model = load_archive(arch_path), archive.load_model(model_path)
         body = read_csv(report)[1:]
         for d, row in zip((2, 3), body):
             swept = hppca.fit_hierarchy(hppca.GroupSpectra(arch.features, arch.params),
                                         model.intermediate_threshold, d)
-            rows = synthesis.evaluate_model(swept, items,
-                                            synthesis.SynthesisConfig(iterations=1), 9)
-            tss = [r.tss for r in rows]
-            expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
-                      np.mean([r.pss_rel_err for r in rows])]
             assert row[0] == str(d)
-            assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+            assert [float(x) for x in row[1:]] == expected_report_row(root, swept, 1)
 
     @pytest.mark.parametrize("sweep, calls", [(["--sweep-dim", "1,2,3"], 13),
                                               (["--sweep-ccr", "0.999,0.9999"], 12)],
@@ -609,21 +609,14 @@ class TestEval:
                    "--archive", arch_path, "--sweep-ccr", "0.999,0.9999",
                    "--iterations", "1", "--patch-size", "9") == 0
 
-        items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
-                 for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
         arch, model = load_archive(arch_path), archive.load_model(model_path)
         body = read_csv(report)[1:]
         assert len(body) == 2
         for ccr, row in zip((0.999, 0.9999), body):
             swept = hppca.fit_hierarchy(hppca.GroupSpectra(arch.features, arch.params), ccr,
                                         model.output_dim)
-            rows = synthesis.evaluate_model(swept, items,
-                                            synthesis.SynthesisConfig(iterations=1), 9)
-            tss = [r.tss for r in rows]
-            expect = [np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
-                      np.mean([r.pss_rel_err for r in rows])]
             assert row[0] == cli._fmt(ccr)
-            assert [float(x) for x in row[1:]] == [float(x) for x in expect]
+            assert [float(x) for x in row[1:]] == expected_report_row(root, swept, 1)
 
     @pytest.mark.parametrize("flags, reason", [
         (["--sweep-dim", "2,0"], "output dimension must be >= 1, got 0"),
@@ -689,6 +682,21 @@ class TestEval:
         assert exc.value.code == 1
         assert (f"argument {flag}: invalid comma-separated {kind} value: '{value}'"
                 in capsys.readouterr().err)
+
+    def test_patch_larger_than_an_image_fails_naming_it_before_any_refit(
+            self, trained, tmp_path, capsys, monkeypatch):
+        root, arch, model_path = trained
+        fits = []
+        fit = hppca.fit_hierarchy
+        monkeypatch.setattr(hppca, "fit_hierarchy", lambda *a: fits.append(1) or fit(*a))
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--archive", arch, "--sweep-dim", "2,3", "--iterations", "0",
+                   "--patch-size", "40") == 2
+        assert ("error: image alpha/a0.pgm (32, 32) is smaller than the 40x40 sample"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert not report.exists()
 
     def test_zero_patch_size_fails_naming_it(self, trained, tmp_path, capsys):
         root, _, model_path = trained

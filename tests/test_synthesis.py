@@ -408,46 +408,55 @@ class TestEvaluateModel:
     def test_rows_and_bounds(self, tiny_setup):
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 4)
-        rows = synthesis.evaluate_model(model, imgs[:3],
-                                        SynthesisConfig(iterations=2, seed=5),
-                                        patch_size=9)
-        assert [r.image_id for r in rows] == ["img0", "img1", "img2"]
-        for r in rows:
-            assert -1.0 <= r.tss <= 1.0 + 1e-12
-            assert r.pss_rel_err >= 0.0
-            assert r.samples == 9
+        cfg = SynthesisConfig(iterations=2, seed=5)
+        for task in enumerate(imgs[:3]):
+            tss, rel_err = synthesis.evaluate_image([model], cfg, 9, task)
+            assert tss.shape == rel_err.shape == (1,)
+            assert -1.0 <= tss[0] <= 1.0 + 1e-12
+            assert rel_err[0] >= 0.0
 
     def test_near_lossless_model_attains_tiny_pss_error(self, tiny_setup):
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 1.0 - 1e-12,
                                     x.shape[0] - 1)
-        rows = synthesis.evaluate_model(model, imgs[:2],
-                                        SynthesisConfig(iterations=0, seed=5),
-                                        patch_size=9)
-        for r in rows:
-            assert r.pss_rel_err <= 1e-6
+        for task in enumerate(imgs[:2]):
+            _, rel_err = synthesis.evaluate_image([model], SynthesisConfig(iterations=0, seed=5),
+                                                  9, task)
+            assert rel_err[0] <= 1e-6
 
     def test_deterministic(self, tiny_setup):
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         cfg = SynthesisConfig(iterations=2, seed=9)
-        r1 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
-        r2 = synthesis.evaluate_model(model, imgs[:2], cfg, patch_size=9)
-        assert [(a.tss, a.pss_rel_err) for a in r1] == [(b.tss, b.pss_rel_err) for b in r2]
+        for task in enumerate(imgs[:2]):
+            r1 = synthesis.evaluate_image([model], cfg, 9, task)
+            r2 = synthesis.evaluate_image([model], cfg, 9, task)
+            assert [a.tolist() for a in r1] == [b.tolist() for b in r2]
 
-    def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
+    @staticmethod
+    def check_each_model_scores_its_own_synthesis(tiny_setup, iterations):
         params, imgs, x = tiny_setup
         models = [hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, d)
                   for d in (2, 4)]
-        cfg = SynthesisConfig(iterations=0, seed=5)
+        cfg = SynthesisConfig(iterations=iterations, seed=5)
         index, (image_id, img) = 3, imgs[3]
-        rows = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
-        run_cfg = SynthesisConfig(iterations=0, seed=5 + index, size=32)
+        tss, rel_err = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
+        assert tss.dtype == rel_err.dtype == np.float64
+        assert tss.shape == rel_err.shape == (2,)
+        run_cfg = SynthesisConfig(iterations=iterations, seed=5 + index, size=32)
         v = pss.extract_pss(img, params)
-        for model, row in zip(models, rows):
+        for j, model in enumerate(models):
             decoded = hppca.decode(model, hppca.encode(model, v))
             out, _ = synthesis.synthesize(decoded, run_cfg)
-            assert (row.tss, row.samples) == synthesis.sample_grid_tss(out, img, 9)
+            assert tss[j] == synthesis.sample_grid_tss(out, img, 9)[0]
+            assert rel_err[j] == (np.linalg.norm(decoded.values - v.values)
+                                  / np.linalg.norm(v.values))
+
+    def test_zero_iterations_score_the_seeded_noise(self, tiny_setup):
+        self.check_each_model_scores_its_own_synthesis(tiny_setup, 0)
+
+    def test_each_model_scores_its_synthesis_in_model_order(self, tiny_setup):
+        self.check_each_model_scores_its_own_synthesis(tiny_setup, 2)
 
     def test_non_finite_decoded_statistic_raises(self, tiny_setup, monkeypatch):
         params, imgs, x = tiny_setup
@@ -463,16 +472,10 @@ class TestEvaluateModel:
             synthesis.evaluate_image([model], SynthesisConfig(iterations=0), 9,
                                      (0, imgs[0]))
 
-    def test_empty_set_rejected(self, tiny_setup):
-        params, imgs, x = tiny_setup
-        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
-        with pytest.raises(ValueError):
-            synthesis.evaluate_model(model, [], SynthesisConfig(iterations=0))
-
 
 class TestConfigValidation:
     def test_negative_iterations_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"iterations must be >= 0, got -1$"):
             SynthesisConfig(iterations=-1)
 
     @pytest.mark.parametrize("size", [-4, 24])
