@@ -142,7 +142,7 @@ def cmd_extract(args) -> int:
     _check_counts(args)
     params = pss.PssParams(args.scales, args.orients, args.neighbor)
     if args.size:  # one message for a geometry every image would fail
-        pss.check_size(args.size, params)
+        pss.check_shape((args.size, args.size), params)
     classes, records = _dataset(args)
     log.info("extracting %d images from %d classes", len(records), len(classes))
 
@@ -282,9 +282,15 @@ def cmd_eval(args) -> int:
     for r in args.sweep_ccr or []:
         ppca._check_threshold(r)
     model = ar.load_model(args.model)
+    if args.size:  # one message for a geometry every image would fail
+        pss.check_shape((args.size, args.size), model.params)
     class_names, records = _dataset(args)
     items = [(ident, _prepare_image(f, args.size)) for _, ident, f in records]
-    for ident, img in items:  # the scoring's own check, before any refit
+    for ident, img in items:  # the statistic's and the scoring's own checks, before any refit
+        try:
+            pss.check_shape(img.shape, model.params)
+        except ValueError as exc:
+            raise ValueError(f"image {ident}: {exc}") from None
         synthesis._check_patch(args.patch_size, img.shape, f"image {ident}")
     log.info("evaluating %d images", len(items))
 

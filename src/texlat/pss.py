@@ -258,21 +258,21 @@ class _Cache:
                  "mag_spec", "mag_var", "c8", "interp", "var20", "rho20")
 
 
-def check_size(size: int, params: PssParams) -> None:
-    """Raise ValueError unless a size x size image has these statistics."""
-    pyramid._validate_geometry(size, params.n_scales)
-    if params.neighborhood > size:
-        raise ValueError(f"neighborhood {params.neighborhood} exceeds image side {size}")
+def check_shape(shape, params: PssParams) -> None:
+    """Raise ValueError unless an image of this shape has these statistics."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"statistic input must be square, got shape {shape}")
+    pyramid._validate_geometry(shape[0], params.n_scales)
+    if params.neighborhood > shape[0]:
+        raise ValueError(f"neighborhood {params.neighborhood} exceeds image side {shape[0]}")
 
 
 def _forward(img, params: PssParams):
     a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"statistic input must be square, got shape {a.shape}")
+    check_shape(a.shape, params)
     if not np.isfinite(a).all():
         raise NumericError("statistic input contains non-finite pixels")
     size = a.shape[0]
-    check_size(size, params)
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood
     stack = pyramid.transfer_stack(size, n_sc, n_or)
     npix, dc = size * size, size // 2

@@ -13,22 +13,21 @@ The similarity score between a synthesized sample patch and a source
 texture is the maximum cosine similarity between the raw sample pixel
 vector and every stride-1 patch of the source. The dot products with all
 patches are one FFT cross-correlation of the sample against the source
-spectrum, and the patch norms are computed once per source (fast
+spectrum, and the patch norms are computed once per scoring call (fast
 normalized cross-correlation, Lewis 1995).
 
-Evaluation extracts each image's statistic and builds its source terms
-(spectrum and window norms) once, and scores it against every model of a
-sweep, so a sweep over d costs one source statistic and one set of source
-terms per image, not one per image and d. At zero iterations the sample is
-the seeded noise itself, so evaluation computes no statistic of it, and
-one correlation per tile serves every swept model.
+Evaluation extracts each image's statistic once and scores it against
+every model of a sweep, so a sweep over d costs one source statistic per
+image, not one per image and d. At zero iterations the sample is the
+seeded noise itself, so evaluation computes no statistic of it, and one
+scoring call per image, with one correlation per tile, serves every
+swept model.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,7 +151,7 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     target or the starting distance is not finite.
     """
     if init_image is None:  # before the draw, which takes any side
-        pss_mod.check_size(cfg.size, target.params)
+        pss_mod.check_shape((cfg.size, cfg.size), target.params)
     if not np.isfinite(target.values).all():
         raise NumericError("target statistic holds non-finite values")
     wvec = _coordinate_weights(target)
@@ -222,37 +221,22 @@ def _check_patch(p: int, shape=None, name="source") -> None:
         raise ValueError(f"{name} {shape} is smaller than the {p}x{p} sample")
 
 
-class SourceTerms:
-    """What every p x p sample needs of one source: its spectrum, each
-    window's inverse norm (0 for a zero window) and sum times that norm.
-    Each is computed at its first use, inside the scoring call that needs
-    it, and kept for every later sample scored against the same source."""
-
-    def __init__(self, source, patch_size: int):
-        x = np.asarray(source, dtype=np.float64)
-        _check_patch(patch_size, x.shape)
-        self.source, self.patch_size = x, patch_size
-
-    @cached_property
-    def spec(self) -> np.ndarray:
-        return np.fft.rfft2(self.source)
-
-    @cached_property
-    def inv_norms(self) -> np.ndarray:
-        p = self.patch_size  # sums of squares: sliding sums down columns, then along rows
-        cols = sliding_window_view(np.square(self.source), p, axis=0).sum(-1)
-        norms = np.sqrt(sliding_window_view(cols, p, axis=1).sum(-1))
-        return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-
-    @cached_property
-    def window_sums(self) -> np.ndarray:
-        return _correlate(np.ones((self.patch_size,) * 2), self)
+def _source_terms(source, patch_size: int):
+    """What every p x p sample needs of one source: its shape, its spectrum
+    and each window's inverse norm (0 for a zero window)."""
+    x = np.asarray(source, dtype=np.float64)
+    _check_patch(patch_size, x.shape)
+    # sums of squares: sliding sums down columns, then along rows
+    cols = sliding_window_view(np.square(x), patch_size, axis=0).sum(-1)
+    norms = np.sqrt(sliding_window_view(cols, patch_size, axis=1).sum(-1))
+    return x.shape, np.fft.rfft2(x), np.divide(1.0, norms, out=np.zeros_like(norms),
+                                               where=norms > 0)
 
 
-def _correlate(s, terms: SourceTerms) -> np.ndarray:
+def _correlate(s, terms) -> np.ndarray:
     """s's dot with each source window times its inverse norm; no offset wraps."""
-    shape, inv_norms = terms.source.shape, terms.inv_norms
-    dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * terms.spec, s=shape)
+    shape, spec, inv_norms = terms
+    dots = np.fft.irfft2(np.conj(np.fft.rfft2(s, s=shape)) * spec, s=shape)
     return dots[:inv_norms.shape[0], :inv_norms.shape[1]] * inv_norms
 
 
@@ -273,7 +257,7 @@ def tss(sample, source) -> TssReport:
     s = np.asarray(sample, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError(f"sample must be a square patch, got shape {s.shape}")
-    q = _correlate(s, SourceTerms(source, s.shape[0]))
+    q = _correlate(s, _source_terms(source, s.shape[0]))
     loc = np.unravel_index(int(np.argmax(q)), q.shape)
     return TssReport(_cosine(q, s), s.shape[0], q.size, (int(loc[0]), int(loc[1])))
 
@@ -282,33 +266,29 @@ def sample_grid_tss(image, source, patch_size: int, moments=None):
     """Mean of per-sample maxima over a centered non-overlapping grid.
 
     The image is cut into as many whole patch_size x patch_size tiles as
-    fit, centered; each tile is scored against every source patch, whose
-    norms are computed once for all tiles. `source` is an image, or the
-    SourceTerms of one built for patch_size, so that callers scoring many
-    images against one source build them once. Returns (score, tiles), or
-    given (mean, std) `moments`, ([score of mean + std * image per pair],
-    tiles) from one correlation per tile, which is linear in the tile.
+    fit, centered; each tile is scored against every patch of the source
+    image, whose spectrum and norms are computed once for all tiles.
+    Returns (score, tiles), or given (mean, std) `moments`, ([score of
+    mean + std * image per pair], tiles) from one correlation per tile,
+    which is linear in the tile: the mean's part is each window's sum,
+    correlated once for all tiles.
     """
-    if not isinstance(source, SourceTerms):
-        source = SourceTerms(source, patch_size)
-    elif source.patch_size != patch_size:
-        raise ValueError(f"source terms are for {source.patch_size}px samples, "
-                         f"not {patch_size}px")
+    terms = _source_terms(source, patch_size)
     a = np.asarray(image, dtype=np.float64)
     ny, nx = a.shape[0] // patch_size, a.shape[1] // patch_size
     if ny < 1 or nx < 1:
         raise ValueError(f"image {a.shape} holds no {patch_size}px sample")
     oy = (a.shape[0] - ny * patch_size) // 2
     ox = (a.shape[1] - nx * patch_size) // 2
+    sums = None if moments is None else _correlate(np.ones((patch_size,) * 2), terms)
     scores = []  # one row per tile, one column per pair
     for iy in range(ny):
         for ix in range(nx):
             y0, x0 = oy + iy * patch_size, ox + ix * patch_size
             tile = a[y0:y0 + patch_size, x0:x0 + patch_size]
-            q = _correlate(tile, source)
+            q = _correlate(tile, terms)
             scores.append([_cosine(q, tile)] if moments is None else
-                          [_cosine(m * source.window_sums + sd * q, m + sd * tile)
-                           for m, sd in moments])
+                          [_cosine(m * sums + sd * q, m + sd * tile) for m, sd in moments])
     means = [float(np.mean(col)) for col in zip(*scores)]
     return (means[0] if moments is None else means), len(scores)
 
@@ -316,22 +296,21 @@ def sample_grid_tss(image, source, patch_size: int, moments=None):
 def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task):
     """Score image `index` of a set against each model.
 
-    The image's statistic and source terms are built once; for each model
-    the statistic is encoded, decoded, resynthesized with seed
-    cfg.seed + index at the image's own size and scored against the image,
-    so a report is independent of any parallel scheduling. At zero
-    iterations the sample is initial_image of the decoded statistic, with
-    no statistic computed of it, and one sample_grid_tss call scores every
-    model's sample. Returns (tss, rel_err): float64 arrays with one entry
-    per model, in model order, of the sample's TSS and the decoded
-    statistic's relative error |decoded - v| / |v|. Raises NumericError
-    when a decoded statistic, a relative error or a score is not finite.
+    The image's statistic is extracted once; for each model it is encoded,
+    decoded, resynthesized with seed cfg.seed + index at the image's own
+    size and scored against the image, so a report is independent of any
+    parallel scheduling. At zero iterations the sample is initial_image of
+    the decoded statistic, with no statistic computed of it, and one
+    sample_grid_tss call scores every model's sample. Returns (tss,
+    rel_err): float64 arrays with one entry per model, in model order, of
+    the sample's TSS and the decoded statistic's relative error
+    |decoded - v| / |v|. Raises NumericError when a decoded statistic, a
+    relative error or a score is not finite.
     """
     index, (image_id, img) = task
     a = np.asarray(img, dtype=np.float64)
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, models[0].params)
-    terms = SourceTerms(a, patch_size)
     decoded = [hppca_mod.decode(m, hppca_mod.encode(m, v)) for m in models]
     rel_err = (np.array([np.linalg.norm(d.values - v.values) for d in decoded])
                / max(np.linalg.norm(v.values), 1e-300))
@@ -339,10 +318,10 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task):
         if not np.isfinite(rel):
             raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
     if cfg.iterations == 0:
-        tss = np.array(sample_grid_tss(_unit_noise(run_cfg), terms, patch_size,
+        tss = np.array(sample_grid_tss(_unit_noise(run_cfg), a, patch_size,
                                        [_noise_moments(d) for d in decoded])[0])
     else:
-        tss = np.array([sample_grid_tss(synthesize(d, run_cfg)[0], terms, patch_size)[0]
+        tss = np.array([sample_grid_tss(synthesize(d, run_cfg)[0], a, patch_size)[0]
                         for d in decoded])
     for score in tss:
         if not np.isfinite(score):

@@ -1,5 +1,7 @@
 """Shared fixtures and procedural texture builders."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ def pytest_configure(config):
     # under -X warn_default_encoding, a texlat file opened in the locale's
     # encoding fails; every text file texlat writes or reads is UTF-8
     config.addinivalue_line("filterwarnings", "error::EncodingWarning:texlat")
+
+
+def pytest_collection_modifyitems(config, items):
+    # so does a text file that a test collected here opens in the locale's
+    # encoding; this hook sees every collected item, those of other test trees too
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::EncodingWarning"))
 
 
 def pad(spec, size):

@@ -29,7 +29,7 @@ def trained(pgm_dataset, tmp_path):
 
 
 def read_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
 
 
@@ -324,7 +324,7 @@ class TestEncodeDecode:
     def test_wrong_code_width_rejected(self, trained, tmp_path):
         _, _, model_path = trained
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,c0\nx,1.0\n")
+        bad.write_text("id,c0\nx,1.0\n", encoding="utf-8")
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
 
     def test_archive_of_other_parameters_rejected(self, trained, tmp_path, capsys):
@@ -344,7 +344,7 @@ class TestEncodeDecode:
     def test_malformed_codes_name_the_reason(self, trained, tmp_path, capsys, text, reason):
         _, _, model_path = trained
         bad = tmp_path / "bad.csv"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
         assert reason in capsys.readouterr().err
 
@@ -353,7 +353,7 @@ class TestEncodeDecode:
                                                          value):
         _, _, model_path = trained
         bad, out = tmp_path / "bad.csv", tmp_path / "d.csv"
-        bad.write_text(f"id,c0,c1,c2\nx,1,2,3\ny,1,{value},3\n")
+        bad.write_text(f"id,c0,c1,c2\nx,1,2,3\ny,1,{value},3\n", encoding="utf-8")
         assert run("decode", model_path, bad, "-o", out) == 2
         assert f"row 2, column c1, is {value}" in capsys.readouterr().err
         assert not out.exists()
@@ -363,7 +363,7 @@ class TestEncodeDecode:
                                                                capsys, command):
         _, _, model_path = trained
         bad, out = tmp_path / "bad.csv", tmp_path / "out"
-        bad.write_text("id,c0,c1,c2\nx,1,2,3\ny,1,2,abc\n")
+        bad.write_text("id,c0,c1,c2\nx,1,2,3\ny,1,2,abc\n", encoding="utf-8")
         args = ([bad] if command == "decode"
                 else ["--code", bad, "--row", "0", "--synth-size", "32"])
         assert run(command, model_path, *args, "-o", out) == 2
@@ -374,7 +374,7 @@ class TestEncodeDecode:
     def test_overflowing_decode_exits_three(self, trained, tmp_path, capsys):
         _, _, model_path = trained
         huge, out = tmp_path / "huge.csv", tmp_path / "d.csv"
-        huge.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n")
+        huge.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n", encoding="utf-8")
         assert run("decode", model_path, huge, "-o", out) == 3
         assert "decoded statistic of 'x' is not finite" in capsys.readouterr().err
         assert not out.exists()
@@ -468,7 +468,7 @@ class TestSynth:
         # a finite code whose decoded statistic overflows
         _, _, model_path = trained
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n")
+        bad.write_text("id,c0,c1,c2\nx,1e308,-1e308,1e308\n", encoding="utf-8")
         code = run("synth", model_path, "--code", bad, "-o", tmp_path / "s.pgm",
                    "--iterations", "1", "--synth-size", "32")
         assert code == 3
@@ -477,7 +477,7 @@ class TestSynth:
                                                              capsys):
         _, _, model_path = trained
         bad, out = tmp_path / "bad.csv", tmp_path / "s.pgm"
-        bad.write_text("id,c0,c1,c2\nx,0.5,-0.5,0.25\ny,1,nan,3\n")
+        bad.write_text("id,c0,c1,c2\nx,0.5,-0.5,0.25\ny,1,nan,3\n", encoding="utf-8")
         args = ("synth", model_path, "--code", bad, "-o", out, "--iterations", "1",
                 "--synth-size", "32")
         assert run(*args, "--row", "1") == 2
@@ -623,7 +623,8 @@ class TestEval:
         (["--sweep-ccr", "0.999,1.5"], "threshold must be in (0, 1], got 1.5"),
         (["--sweep-ccr", "0"], "threshold must be in (0, 1], got 0.0"),
         (["--sweep-dim", "2,3", "--patch-size", "0"], "patch size must be >= 1, got 0"),
-    ], ids=["dim-zero", "ccr-above-one", "ccr-zero", "patch-size-zero"])
+        (["--sweep-dim", "2,3", "--size", "100"], "image side must be a power of two, got 100"),
+    ], ids=["dim-zero", "ccr-above-one", "ccr-zero", "patch-size-zero", "size-not-power-of-two"])
     def test_bad_value_fails_before_any_image_load_or_refit(self, trained, tmp_path,
                                                             capsys, monkeypatch,
                                                             flags, reason):
@@ -652,6 +653,23 @@ class TestEval:
                    "--archive", arch, "--sweep-dim", "1,2,3",
                    "--iterations", "0", "--patch-size", "9") == 0
         assert len(calls) == 6  # the source statistics; none of the seeded noise
+
+    @pytest.mark.parametrize("iterations, per_image", [(0, 1), (1, 2)],
+                             ids=["zero-iterations", "one-iteration"])
+    def test_each_scoring_call_builds_its_source_terms_once(self, trained, tmp_path,
+                                                            monkeypatch, iterations,
+                                                            per_image):
+        # at zero iterations one call per image scores both swept models' samples;
+        # after synthesis each model's sample is scored on its own
+        root, arch, model_path = trained
+        calls = []
+        terms = synthesis._source_terms
+        monkeypatch.setattr(synthesis, "_source_terms",
+                            lambda *a: calls.append(1) or terms(*a))
+        assert run("eval", model_path, root, "-o", tmp_path / "r.csv", "--size", "32",
+                   "--archive", arch, "--sweep-dim", "2,3", "--iterations", iterations,
+                   "--patch-size", "9") == 0
+        assert len(calls) == 6 * per_image
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("column", [0, 1, 10])
@@ -695,6 +713,25 @@ class TestEval:
                    "--patch-size", "40") == 2
         assert ("error: image alpha/a0.pgm (32, 32) is smaller than the 40x40 sample"
                 in capsys.readouterr().err)
+        assert fits == []
+        assert not report.exists()
+
+    @pytest.mark.parametrize("shape, reason", [
+        ((32, 48), "statistic input must be square, got shape (32, 48)"),
+        ((40, 40), "image side must be a power of two, got 40"),
+    ], ids=["not-square", "not-power-of-two"])
+    def test_image_the_statistic_refuses_fails_naming_it_before_any_refit(
+            self, trained, tmp_path, capsys, monkeypatch, shape, reason):
+        root, arch, model_path = trained
+        image.save_image(np.full(shape, 127.0), root / "beta" / "b3.pgm")
+        fits = []
+        fit = hppca.fit_hierarchy
+        monkeypatch.setattr(hppca, "fit_hierarchy", lambda *a: fits.append(1) or fit(*a))
+        report = tmp_path / "r.csv"
+        assert run("eval", model_path, root, "-o", report, "--size", "0",
+                   "--archive", arch, "--sweep-dim", "2,3", "--iterations", "0",
+                   "--patch-size", "9") == 2
+        assert f"error: image beta/b3.pgm: {reason}" in capsys.readouterr().err
         assert fits == []
         assert not report.exists()
 
@@ -785,7 +822,7 @@ class TestInfoAndExitCodes:
 
     def test_signed_header_exits_two_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "signed.pgm"
-        src.write_text("P2 32 32 +255 " + "7 " * 1024)
+        src.write_text("P2 32 32 +255 " + "7 " * 1024, encoding="utf-8")
         out = tmp_path / "bands"
         assert run("bands", src, "-o", out, "--scales", "2", "--orients", "2") == 2
         assert "signed.pgm: bad PGM header" in capsys.readouterr().err
@@ -793,7 +830,7 @@ class TestInfoAndExitCodes:
 
     def test_non_integer_sample_exits_two_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "nan.pgm"
-        src.write_text("P2 32 32 255 " + "7 " * 1023 + "nan")
+        src.write_text("P2 32 32 255 " + "7 " * 1023 + "nan", encoding="utf-8")
         out = tmp_path / "bands"
         assert run("bands", src, "-o", out, "--scales", "2", "--orients", "2") == 2
         assert "nan.pgm" in capsys.readouterr().err
@@ -890,7 +927,7 @@ def test_poisoned_codes_exit_cleanly(nf_base, tmp_path_factory, cells, row):
     for r, c, value in cells:
         table[r + 1][c + 1] = repr(float(value))
     bad = work / "bad.csv"
-    with open(bad, "w", newline="") as fh:
+    with open(bad, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(table)
     decoded, synth, trace = work / "d.csv", work / "s.pgm", work / "t.csv"
     _outcome(["decode", root / "base.hpca", bad, "-o", decoded], [decoded])

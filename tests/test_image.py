@@ -16,12 +16,12 @@ class TestPgmIO:
 
     def test_ascii_pgm_single_pixel(self, tmp_path):
         p = tmp_path / "t.pgm"
-        p.write_text("P2 1 1 255 200")
+        p.write_text("P2 1 1 255 200", encoding="utf-8")
         np.testing.assert_array_equal(image.load_image(p), [[200.0]])
 
     def test_ascii_pgm_with_comments(self, tmp_path):
         p = tmp_path / "t.pgm"
-        p.write_text("P2\n# a comment\n2 1\n255\n1 2\n")
+        p.write_text("P2\n# a comment\n2 1\n255\n1 2\n", encoding="utf-8")
         np.testing.assert_array_equal(image.load_image(p), [[1.0, 2.0]])
 
     def test_truncated_header_is_unsupported(self, tmp_path):
@@ -51,7 +51,7 @@ class TestPgmIO:
     @pytest.mark.parametrize("sample", ["nan", "inf", "1e999", "-5", "+5", "300", "1.5"])
     def test_ascii_sample_outside_maxval_names_the_file(self, tmp_path, sample):
         p = tmp_path / "bad.pgm"
-        p.write_text(f"P2 2 1 255 7 {sample}")
+        p.write_text(f"P2 2 1 255 7 {sample}", encoding="utf-8")
         with pytest.raises(image.FormatError,
                            match=r"bad.pgm: sample .* is not an integer in 0\.\.255"):
             image.load_image(p)
@@ -60,7 +60,7 @@ class TestPgmIO:
                              ids=["underscore", "plus-sign", "minus-sign"])
     def test_header_field_that_is_not_ascii_digits_is_a_bad_header(self, tmp_path, header):
         p = tmp_path / "bad.pgm"
-        p.write_text(header + " 7" * 16)
+        p.write_text(header + " 7" * 16, encoding="utf-8")
         with pytest.raises(image.FormatError, match="bad.pgm: bad PGM header"):
             image.load_image(p)
 

@@ -351,17 +351,6 @@ class TestSampleGrid:
         expect = float(np.mean([synthesis.tss(t, source).tss for t in tiles]))
         assert synthesis.sample_grid_tss(img, source, 9) == (expect, 16)
 
-    def test_source_terms_score_like_the_source(self, rng):
-        img = rng.uniform(1, 255, size=(40, 37))
-        source = rng.uniform(1, 255, size=(24, 30))
-        terms = synthesis.SourceTerms(source, 9)
-        assert synthesis.sample_grid_tss(img, terms, 9) == \
-            synthesis.sample_grid_tss(img, source, 9)
-        assert synthesis.sample_grid_tss(img[1:], terms, 9) == \
-            synthesis.sample_grid_tss(img[1:], source, 9)
-        with pytest.raises(ValueError, match="9px samples, not 8px"):
-            synthesis.sample_grid_tss(img, terms, 8)
-
     @settings(max_examples=60, deadline=None)
     @example(seed=0, p=9, extra=11, zero_rows=14, moments=[(-127.0, 40.0)])
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 9), extra=st.integers(0, 20),
@@ -376,11 +365,10 @@ class TestSampleGrid:
         noise = rng.standard_normal((p + extra, p + extra))
         source = rng.uniform(1, 255, size=(p + 15, p + 12))
         source[:zero_rows] = 0.0  # zero-norm windows once zero_rows >= p
-        terms = synthesis.SourceTerms(source, p)
-        scores, count = synthesis.sample_grid_tss(noise, terms, p, moments)
+        scores, count = synthesis.sample_grid_tss(noise, source, p, moments)
         assert len(scores) == len(moments)
         for (mean, std), score in zip(moments, scores):
-            expect, tiles = synthesis.sample_grid_tss(mean + std * noise, terms, p)
+            expect, tiles = synthesis.sample_grid_tss(mean + std * noise, source, p)
             assert abs(score - expect) <= 1e-14
             assert tiles == count
         assert scores[-1] == 0.0
@@ -396,7 +384,7 @@ class TestSampleGrid:
             synthesis.sample_grid_tss(img, img, 0)
 
 
-class TestEvaluateModel:
+class TestEvaluateImage:
     @pytest.fixture
     def tiny_setup(self, rng):
         params = PssParams(2, 2, 3)
