@@ -115,9 +115,9 @@ def _dataset(args):
 
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        return [fn(*it) for it in items]
     with multiprocessing.Pool(min(jobs, len(items))) as pool:
-        return pool.map(fn, items)
+        return pool.starmap(fn, items)
 
 
 def _magic(path) -> bytes:
@@ -130,8 +130,7 @@ def _magic(path) -> bytes:
 # --------------------------------------------------------------------------
 # extract
 
-def _extract_one(task):
-    path, size, params = task
+def _extract_one(path, size, params):
     try:
         return pss.extract_pss(_prepare_image(path, size), params).values, None
     except Exception as exc:  # collected per-file, reported at the end, each naming it once
@@ -285,13 +284,13 @@ def cmd_eval(args) -> int:
     if args.size:  # one message for a geometry every image would fail
         pss.check_shape((args.size, args.size), model.params)
     class_names, records = _dataset(args)
-    items = [(ident, _prepare_image(f, args.size)) for _, ident, f in records]
-    for ident, img in items:  # the statistic's and the scoring's own checks, before any refit
+    items = [(i, ident, _prepare_image(f, args.size)) for i, (_, ident, f) in enumerate(records)]
+    for _, ident, img in items:  # the statistic's and the scoring's own checks, before any refit
         try:
             pss.check_shape(img.shape, model.params)
+            synthesis._check_patch(args.patch_size, img.shape)
         except ValueError as exc:
             raise ValueError(f"image {ident}: {exc}") from None
-        synthesis._check_patch(args.patch_size, img.shape, f"image {ident}")
     log.info("evaluating %d images", len(items))
 
     sweeps: list[tuple[str, hppca.HppcaModel]] = []
@@ -310,7 +309,7 @@ def cmd_eval(args) -> int:
     # one task per image, scored against every swept model; the partial
     # carries the context to workers under every start method
     per_image = _pmap(partial(synthesis.evaluate_image, [m for _, m in sweeps], cfg,
-                              args.patch_size), list(enumerate(items)), args.jobs)
+                              args.patch_size), items, args.jobs)
     # (image, sweep) arrays: each report value is the mean of a column or of its class rows
     tss, err = np.array(per_image).transpose(1, 0, 2)
     labels = np.array([label for label, *_ in records])

@@ -106,6 +106,8 @@ def _group_latents(groups: list[PpcaModel], blocks) -> np.ndarray:
 
 def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    if x.shape[1] != pss_dim(model.params):
+        raise ValueError(f"matrix width {x.shape[1]} != model dimension {pss_dim(model.params)}")
     blocks = [x[:, model.params.group_slice(gi)] for gi in range(1, 11)]
     return ppca.encode(model.final_model, _group_latents(model.group_models, blocks))
 

@@ -166,16 +166,15 @@ def _skew_kurt(img):
     m3 = np.mean(c2 * c)
     m4 = np.mean(c2 * c2)
     ok = var >= VAR_EPS
-    return _flat_safe(m3, var ** 1.5, ok), _flat_safe(m4, var ** 2, ok), (c, var, m3, m4)
+    skew, kurt = _flat_safe(m3, var ** 1.5, ok), _flat_safe(m4, var ** 2, ok)
+    return skew, kurt, (c, var, m3, skew, kurt)
 
 
 def _skew_kurt_backward(aux, g_skew, g_kurt):
-    c, var, m3, m4 = aux
+    c, var, m3, skew, kurt = aux
     if var < VAR_EPS:
         return np.zeros_like(c)
     n = c.size
-    skew = m3 / var ** 1.5
-    kurt = m4 / var ** 2
     c2 = c * c
     cot = g_skew * (3.0 / n) * ((c2 - var) / var ** 1.5 - skew * c / var)
     cot += g_kurt * (4.0 / n) * ((c2 * c - m3) / var ** 2 - kurt * c / var)

@@ -229,7 +229,6 @@ class TransferStack:
     def __init__(self, size: int, n_scales: int, n_orientations: int):
         _validate_counts(n_scales, n_orientations)
         _validate_geometry(size, n_scales)
-        self.size = size
         n_sc, n_or = n_scales, n_orientations
         r_full, th_full = _freq_grid(size)
         self.highpass0 = radial_highpass(r_full / 2.0)
@@ -268,7 +267,7 @@ class TransferStack:
     def band_grid(self, spec: np.ndarray, scale: int) -> np.ndarray:
         """(K, side, side) complex band coefficients at the scale's own resolution,
         from the fftshifted source spectrum: the nested crops collapse into one."""
-        side = self.size >> (scale - 1)
+        side = self.band_analysis[scale - 1].shape[-1]
         return np.fft.ifft2(self.band_analysis[scale - 1] * np.fft.ifftshift(_crop(spec, side)))
 
     def band_grid_adjoint(self, cot: np.ndarray, scale: int) -> np.ndarray:

@@ -134,8 +134,7 @@ def _noise_moments(target: PssVector):
     return mean, np.sqrt(max(var, 0.0))
 
 
-def synthesize(target: PssVector, cfg: SynthesisConfig,
-               init_image: np.ndarray | None = None):
+def synthesize(target: PssVector, cfg: SynthesisConfig):
     """Match the target statistic by L-BFGS from seeded noise.
 
     With no stored pairs, or no descent along the L-BFGS direction, the
@@ -150,14 +149,12 @@ def synthesize(target: PssVector, cfg: SynthesisConfig,
     seeds give bit-identical output. Raises NumericError when the
     target or the starting distance is not finite.
     """
-    if init_image is None:  # before the draw, which takes any side
-        pss_mod.check_shape((cfg.size, cfg.size), target.params)
+    pss_mod.check_shape((cfg.size, cfg.size), target.params)  # the draw takes any side
     if not np.isfinite(target.values).all():
         raise NumericError("target statistic holds non-finite values")
     wvec = _coordinate_weights(target)
 
-    x = (initial_image(target, cfg) if init_image is None
-         else np.asarray(init_image, dtype=np.float64).copy())
+    x = initial_image(target, cfg)
     fval, cache, cot = _objective(x, target, wvec)
     if not np.isfinite(fval):
         raise NumericError(f"starting distance is {fval}")
@@ -214,11 +211,11 @@ class TssReport:
     location: tuple[int, int]  # top-left of the best-matching source patch
 
 
-def _check_patch(p: int, shape=None, name="source") -> None:
+def _check_patch(p: int, shape=None) -> None:
     if p < 1:
         raise ValueError(f"patch size must be >= 1, got {p}")
     if shape is not None and (len(shape) != 2 or min(shape) < p):
-        raise ValueError(f"{name} {shape} is smaller than the {p}x{p} sample")
+        raise ValueError(f"source {shape} is smaller than the {p}x{p} sample")
 
 
 def _source_terms(source, patch_size: int):
@@ -293,8 +290,8 @@ def sample_grid_tss(image, source, patch_size: int, moments=None):
     return (means[0] if moments is None else means), len(scores)
 
 
-def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task):
-    """Score image `index` of a set against each model.
+def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, index, image_id, image):
+    """Score image `index` of a set, named image_id in errors, against each model.
 
     The image's statistic is extracted once; for each model it is encoded,
     decoded, resynthesized with seed cfg.seed + index at the image's own
@@ -307,8 +304,7 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, task):
     |decoded - v| / |v|. Raises NumericError when a decoded statistic, a
     relative error or a score is not finite.
     """
-    index, (image_id, img) = task
-    a = np.asarray(img, dtype=np.float64)
+    a = np.asarray(image, dtype=np.float64)
     run_cfg = replace(cfg, seed=cfg.seed + index, size=a.shape[0])
     v = pss_mod.extract_pss(a, models[0].params)
     decoded = [hppca_mod.decode(m, hppca_mod.encode(m, v)) for m in models]

@@ -25,6 +25,10 @@ def pytest_configure(config):
     # under -X warn_default_encoding, a texlat file opened in the locale's
     # encoding fails; every text file texlat writes or reads is UTF-8
     config.addinivalue_line("filterwarnings", "error::EncodingWarning:texlat")
+    # a file, pipe or pool left unclosed fails, as it does under CI's -W flags; the
+    # warning from a finalizer reaches pytest as an unraisable exception
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
 
 
 def pytest_collection_modifyitems(config, items):

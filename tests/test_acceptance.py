@@ -222,8 +222,8 @@ def test_criterion_8_hppca_monotonicity():
               (corpus[i] for i in range(0, len(corpus), 11))]
     # every swept model scores each image in one call, as eval does
     cfg = SynthesisConfig(iterations=50, seed=100)
-    tss = np.array([synthesis.evaluate_image([models[d] for d in dims], cfg, 19, task)[0]
-                    for task in enumerate(subset)])
+    tss = np.array([synthesis.evaluate_image([models[d] for d in dims], cfg, 19, index, *item)[0]
+                    for index, item in enumerate(subset)])
     tss_means = [float(np.mean(col)) for col in tss.T]
 
     rank = lambda v: np.argsort(np.argsort(v)).astype(float)

@@ -40,8 +40,8 @@ def expected_report_row(root, model, iterations):
     items = [(f"{cls}/{f.name}", image.normalize(image.load_image(f), 127.0, 40.0))
              for cls in ("alpha", "beta") for f in sorted((root / cls).iterdir())]
     cfg = synthesis.SynthesisConfig(iterations=iterations)
-    tss, err = np.array([synthesis.evaluate_image([model], cfg, 9, task)
-                         for task in enumerate(items)])[..., 0].T
+    tss, err = np.array([synthesis.evaluate_image([model], cfg, 9, index, *item)
+                         for index, item in enumerate(items)])[..., 0].T
     return [float(x) for x in (np.mean(tss[:3]), np.mean(tss[3:]), np.mean(tss),
                                np.mean(err))]
 
@@ -99,8 +99,8 @@ class TestExtract:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return [fn(it) for it in items]
+            def starmap(self, fn, items):
+                return [fn(*it) for it in items]
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         assert run("extract", pgm_dataset, "-o", tmp_path / "f.pssa", *PARAMS,
@@ -711,7 +711,7 @@ class TestEval:
         assert run("eval", model_path, root, "-o", report, "--size", "32",
                    "--archive", arch, "--sweep-dim", "2,3", "--iterations", "0",
                    "--patch-size", "40") == 2
-        assert ("error: image alpha/a0.pgm (32, 32) is smaller than the 40x40 sample"
+        assert ("error: image alpha/a0.pgm: source (32, 32) is smaller than the 40x40 sample"
                 in capsys.readouterr().err)
         assert fits == []
         assert not report.exists()

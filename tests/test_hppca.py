@@ -179,6 +179,14 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="code length"):
             hppca.decode(model, np.zeros(6))
 
+    @pytest.mark.parametrize("extra", [5, -1])
+    def test_matrix_of_the_wrong_width_rejected(self, small_corpus, extra):
+        params, _, x = small_corpus
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
+        d = pss.pss_dim(params)
+        with pytest.raises(ValueError, match=rf"matrix width {d + extra} != model dimension {d}$"):
+            hppca.encode_batch(model, np.zeros((2, d + extra)))
+
 
 class TestReductionRate:
     def test_paper_scale_arithmetic(self):

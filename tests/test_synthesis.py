@@ -85,12 +85,12 @@ class TestGradient:
 
 
 class TestSynthesize:
-    def test_zero_iterations_from_fixed_point(self, rng):
+    def test_zero_iterations_from_fixed_point(self, rng, monkeypatch):
         params = PssParams(2, 2, 3)
         img = rng.standard_normal((32, 32)) * 20 + 100
         target = pss.extract_pss(img, params)
-        out, trace = synthesis.synthesize(
-            target, SynthesisConfig(iterations=0, size=32), init_image=img)
+        monkeypatch.setattr(synthesis, "initial_image", lambda *_: img)
+        out, trace = synthesis.synthesize(target, SynthesisConfig(iterations=0, size=32))
         np.testing.assert_array_equal(out, img)
         np.testing.assert_array_equal(trace, [0.0])
 
@@ -164,12 +164,12 @@ class TestLbfgs:
         assert trace.shape == (51,)
         assert (np.diff(trace) <= 0).all()
 
-    def test_zero_gradient_pads_the_trace(self, rng):
+    def test_zero_gradient_pads_the_trace(self, rng, monkeypatch):
         params = PssParams(2, 2, 3)
         img = rng.standard_normal((32, 32)) * 20 + 100
+        monkeypatch.setattr(synthesis, "initial_image", lambda *_: img)
         out, trace = synthesis.synthesize(pss.extract_pss(img, params),
-                                          SynthesisConfig(iterations=4, size=32),
-                                          init_image=img)
+                                          SynthesisConfig(iterations=4, size=32))
         np.testing.assert_array_equal(out, img)
         np.testing.assert_array_equal(trace, np.zeros(5))
 
@@ -181,9 +181,9 @@ class TestLbfgs:
         backward, calls = pss._backward, []
         monkeypatch.setattr(pss, "_backward",
                             lambda *a: calls.append(1) or backward(*a))
+        monkeypatch.setattr(synthesis, "initial_image", lambda *_: init)
         out, trace = synthesis.synthesize(pss.extract_pss(img, params),
-                                          SynthesisConfig(iterations=4, size=32),
-                                          init_image=init)
+                                          SynthesisConfig(iterations=4, size=32))
         np.testing.assert_array_equal(out, init)
         assert trace.shape == (5,) and (trace == trace[0]).all()
         assert len(calls) == 1
@@ -397,8 +397,8 @@ class TestEvaluateImage:
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 4)
         cfg = SynthesisConfig(iterations=2, seed=5)
-        for task in enumerate(imgs[:3]):
-            tss, rel_err = synthesis.evaluate_image([model], cfg, 9, task)
+        for index, (image_id, img) in enumerate(imgs[:3]):
+            tss, rel_err = synthesis.evaluate_image([model], cfg, 9, index, image_id, img)
             assert tss.shape == rel_err.shape == (1,)
             assert -1.0 <= tss[0] <= 1.0 + 1e-12
             assert rel_err[0] >= 0.0
@@ -407,18 +407,18 @@ class TestEvaluateImage:
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 1.0 - 1e-12,
                                     x.shape[0] - 1)
-        for task in enumerate(imgs[:2]):
+        for index, (image_id, img) in enumerate(imgs[:2]):
             _, rel_err = synthesis.evaluate_image([model], SynthesisConfig(iterations=0, seed=5),
-                                                  9, task)
+                                                  9, index, image_id, img)
             assert rel_err[0] <= 1e-6
 
     def test_deterministic(self, tiny_setup):
         params, imgs, x = tiny_setup
         model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 3)
         cfg = SynthesisConfig(iterations=2, seed=9)
-        for task in enumerate(imgs[:2]):
-            r1 = synthesis.evaluate_image([model], cfg, 9, task)
-            r2 = synthesis.evaluate_image([model], cfg, 9, task)
+        for index, (image_id, img) in enumerate(imgs[:2]):
+            r1 = synthesis.evaluate_image([model], cfg, 9, index, image_id, img)
+            r2 = synthesis.evaluate_image([model], cfg, 9, index, image_id, img)
             assert [a.tolist() for a in r1] == [b.tolist() for b in r2]
 
     @staticmethod
@@ -428,7 +428,7 @@ class TestEvaluateImage:
                   for d in (2, 4)]
         cfg = SynthesisConfig(iterations=iterations, seed=5)
         index, (image_id, img) = 3, imgs[3]
-        tss, rel_err = synthesis.evaluate_image(models, cfg, 9, (index, (image_id, img)))
+        tss, rel_err = synthesis.evaluate_image(models, cfg, 9, index, image_id, img)
         assert tss.dtype == rel_err.dtype == np.float64
         assert tss.shape == rel_err.shape == (2,)
         run_cfg = SynthesisConfig(iterations=iterations, seed=5 + index, size=32)
@@ -457,8 +457,7 @@ class TestEvaluateImage:
             return v
         monkeypatch.setattr(hppca, "decode", non_finite)
         with pytest.raises(pss.NumericError, match="relative error inf"):
-            synthesis.evaluate_image([model], SynthesisConfig(iterations=0), 9,
-                                     (0, imgs[0]))
+            synthesis.evaluate_image([model], SynthesisConfig(iterations=0), 9, 0, *imgs[0])
 
 
 class TestConfigValidation:
