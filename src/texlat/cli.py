@@ -215,9 +215,9 @@ def cmd_encode(args) -> int:
         ids, feats = arch.ids, arch.features
     else:
         ids = list(args.inputs)
-        feats = np.stack([
-            pss.extract_pss(_prepare_image(p, args.size), model.params).values
-            for p in args.inputs])
+        feats, errs = zip(*(_extract_one(p, args.size, model.params) for p in ids))
+        if any(errs):
+            raise ValueError(next(filter(None, errs)))
     _write_rows(args.output, [f"c{i}" for i in range(model.output_dim)], ids,
                 hppca.encode_batch(model, feats), "code")
     print(f"encoded {len(ids)} inputs -> {args.output}", file=sys.stderr)
@@ -227,9 +227,6 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     model = ar.load_model(args.model)
     ids, codes = _load_codes(args.codes)
-    if codes.shape[1] != model.output_dim:
-        raise ValueError(
-            f"codes have {codes.shape[1]} columns, model outputs {model.output_dim}")
     _check_finite(codes, lambda r, c: f"{args.codes}: row {r + 1}, column c{c},")
     _write_rows(args.output, pss.column_names(model.params), ids,
                 hppca.decode_batch(model, codes), "decoded statistic")
@@ -375,10 +372,9 @@ def cmd_bands(args) -> int:
 # --------------------------------------------------------------------------
 # wiring
 
-def _add_params(p: argparse.ArgumentParser):
+def _add_pyramid(p: argparse.ArgumentParser):
     p.add_argument("--scales", type=int, default=4, help="pyramid scales N")
     p.add_argument("--orients", type=int, default=4, help="orientations K")
-    p.add_argument("--neighbor", type=int, default=7, help="autocorrelation window M")
 
 
 def _add_preprocess(p: argparse.ArgumentParser):
@@ -408,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="dataset -> feature archive")
     _add_dataset(p)
-    _add_params(p)
+    _add_pyramid(p)
+    p.add_argument("--neighbor", type=int, default=7, help="autocorrelation window M")
     _add_preprocess(p)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -474,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", help="dump band magnitude maps as PGM")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--scales", type=int, default=4)
-    p.add_argument("--orients", type=int, default=4)
+    _add_pyramid(p)
     p.set_defaults(func=cmd_bands)
 
     return root
@@ -492,6 +488,9 @@ def main(argv=None) -> int:
     except pss.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (image.FormatError, OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,8 @@ def encode_batch(model: HppcaModel, matrix: np.ndarray) -> np.ndarray:
 
 def decode_batch(model: HppcaModel, codes: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
+    if z.shape[1:] != (model.output_dim,):
+        raise ValueError(f"code length {z.shape[1:]} != model output {model.output_dim}")
     inter = ppca.decode(model.final_model, z)
     parts = np.split(inter, np.cumsum(model.group_dims)[:-1], axis=1)
     return np.hstack([ppca.decode(g, part) for g, part in zip(model.group_models, parts)])
@@ -128,10 +130,8 @@ def encode(model: HppcaModel, v: PssVector) -> np.ndarray:
 
 def decode(model: HppcaModel, code) -> PssVector:
     """Final decode, split by group widths, group decodes, concatenate."""
-    z = np.asarray(code, dtype=np.float64)
-    if z.shape != (model.output_dim,):
-        raise ValueError(f"code length {z.shape} != model output {model.output_dim}")
-    return PssVector(decode_batch(model, z[None, :])[0], model.params)
+    return PssVector(decode_batch(model, np.asarray(code, dtype=np.float64)[None])[0],
+                     model.params)
 
 
 def reduction_rate(model: HppcaModel) -> float:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -249,14 +250,6 @@ def _interp_block(spec, small):
 # --------------------------------------------------------------------------
 # forward pass
 
-class _Cache:
-    """Everything the backward pass needs from one forward evaluation."""
-
-    __slots__ = ("params", "size", "stack", "img", "spec", "aux1", "aux2",
-                 "lag_basis", "lag_scale", "acorr", "bands", "mags",
-                 "mag_spec", "mag_var", "c8", "interp", "var20", "rho20")
-
-
 def check_shape(shape, params: PssParams) -> None:
     """Raise ValueError unless an image of this shape has these statistics."""
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -276,8 +269,8 @@ def _forward(img, params: PssParams):
     stack = pyramid.transfer_stack(size, n_sc, n_or)
     npix, dc = size * size, size // 2
 
-    cc = _Cache()
-    cc.params, cc.size, cc.stack, cc.img = params, size, stack, a
+    # everything the backward pass needs from one forward evaluation
+    cc = SimpleNamespace(params=params, size=size, stack=stack, img=a)
     cc.spec = spec = _rfft(a)
     # power spectrum of the centered image: every quadratic group is a
     # weighted sum over it (Wiener-Khinchin), so no filtered image is formed
@@ -377,7 +370,7 @@ def extract_pss(img, params: PssParams = PssParams()) -> PssVector:
 # --------------------------------------------------------------------------
 # backward pass
 
-def _backward(cc: _Cache, dvalues: np.ndarray) -> np.ndarray:
+def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. input pixels of sum(dvalues * statistics)."""
     params, size, stack = cc.params, cc.size, cc.stack
     n_sc, n_or, m = params.n_scales, params.n_orientations, params.neighborhood

@@ -313,6 +313,16 @@ class TestEncodeDecode:
                    "-o", codes, "--size", "32") == 0
         assert len(read_csv(codes)) == 2
 
+    def test_image_it_cannot_use_is_named(self, trained, tmp_path, capsys):
+        root, _, model_path = trained
+        odd, out = tmp_path / "odd.pgm", tmp_path / "codes.csv"
+        image.save_image(np.full((48, 48), 100.0), odd)
+        assert run("encode", model_path, root / "alpha" / "a0.pgm", odd, "-o", out,
+                   "--size", "0") == 2
+        assert capsys.readouterr().err == \
+            f"error: {odd}: image side must be a power of two, got 48\n"
+        assert not out.exists()
+
     def test_archive_is_told_by_its_magic(self, trained, tmp_path):
         _, arch, model_path = trained
         copy, a, b = tmp_path / "feats.bin", tmp_path / "a.csv", tmp_path / "b.csv"
@@ -321,11 +331,18 @@ class TestEncodeDecode:
         assert run("encode", model_path, copy, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wrong_code_width_rejected(self, trained, tmp_path):
+    def test_wrong_code_width_rejected(self, trained, tmp_path, capsys):
         _, _, model_path = trained
         bad = tmp_path / "bad.csv"
         bad.write_text("id,c0\nx,1.0\n", encoding="utf-8")
         assert run("decode", model_path, bad, "-o", tmp_path / "d.csv") == 2
+        # decode and synth --code refuse the width with one message
+        message = "error: code length (1,) != model output 3\n"
+        assert capsys.readouterr().err == message
+        assert run("synth", model_path, "--code", bad, "-o", tmp_path / "s.pgm",
+                   "--synth-size", "32") == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "s.pgm").exists()
 
     def test_archive_of_other_parameters_rejected(self, trained, tmp_path, capsys):
         root, _, model_path = trained
@@ -810,6 +827,36 @@ class TestInfoAndExitCodes:
             path.write_bytes(magic + bytes(16))
             assert run("info", path) == 2
             assert f"{path}: unrecognized file magic {magic!r}" in capsys.readouterr().err
+
+    def test_out_of_memory_in_synth_exits_two_naming_it(self, trained, tmp_path, capsys,
+                                                         monkeypatch):
+        _, arch, model_path = trained
+        codes, out = tmp_path / "codes.csv", tmp_path / "s.pgm"
+        assert run("encode", model_path, arch, "-o", codes) == 0
+
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 128. KiB for an array")
+
+        monkeypatch.setattr(synthesis, "_unit_noise", exhausted)
+        assert run("synth", model_path, "--code", codes, "-o", out, "--synth-size", "32") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: out of memory: Unable to allocate 128. KiB for an array\n")
+        assert not out.exists()
+
+    def test_out_of_memory_in_eval_exits_two_naming_it(self, trained, tmp_path, capsys,
+                                                        monkeypatch):
+        root, _, model_path = trained
+        report = tmp_path / "r.csv"
+
+        def exhausted(img, params):
+            raise MemoryError("Unable to allocate 8. KiB for an array")
+
+        monkeypatch.setattr(pss, "_forward", exhausted)
+        assert run("eval", model_path, root, "-o", report, "--size", "32",
+                   "--iterations", "0", "--jobs", "1") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: out of memory: Unable to allocate 8. KiB for an array\n")
+        assert not report.exists()
 
     def test_bands_dump(self, pgm_dataset, tmp_path):
         out = tmp_path / "bands"

@@ -187,6 +187,13 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match=rf"matrix width {d + extra} != model dimension {d}$"):
             hppca.encode_batch(model, np.zeros((2, d + extra)))
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_codes_of_the_wrong_width_rejected(self, small_corpus, extra):
+        params, _, x = small_corpus
+        model = hppca.fit_hierarchy(hppca.GroupSpectra(x, params), 0.999, 5)
+        with pytest.raises(ValueError, match=rf"code length \({5 + extra},\) != model output 5$"):
+            hppca.decode_batch(model, np.zeros((2, 5 + extra)))
+
 
 class TestReductionRate:
     def test_paper_scale_arithmetic(self):

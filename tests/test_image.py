@@ -64,6 +64,14 @@ class TestPgmIO:
         with pytest.raises(image.FormatError, match="bad.pgm: bad PGM header"):
             image.load_image(p)
 
+    @pytest.mark.parametrize("header", ["P5 0 1 255", "P5 1 0 255", "P5 1 1 0", "P5 1 1 65536"],
+                             ids=["width-0", "height-0", "maxval-0", "maxval-65536"])
+    def test_field_out_of_range_names_the_file(self, tmp_path, header):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(header.encode() + b"\n" + bytes(4))
+        with pytest.raises(image.FormatError, match="bad.pgm: bad PGM dimensions/maxval"):
+            image.load_image(p)
+
     @pytest.mark.parametrize("raw,expect", [
         (b"P512 1 255\n" + bytes(range(12)), [list(range(12))]),  # no separator after the magic
         (b"P5\r2\r1\r255\r\x07\x09", [[7, 9]]),
