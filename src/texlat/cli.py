@@ -131,10 +131,12 @@ def _magic(path) -> bytes:
 # extract
 
 def _extract_one(path, size, params):
+    """(statistic, side, None) of an image file, or (None, None, its error, naming it once)."""
     try:
-        return pss.extract_pss(_prepare_image(path, size), params).values, None
-    except Exception as exc:  # collected per-file, reported at the end, each naming it once
-        return None, str(exc) if str(path) in str(exc) else f"{path}: {exc}"
+        img = _prepare_image(path, size)
+        return pss.extract_pss(img, params).values, img.shape[0], None
+    except (OSError, ValueError, pss.NumericError) as exc:
+        return None, None, exc if str(path) in str(exc) else type(exc)(f"{path}: {exc}")
 
 
 def cmd_extract(args) -> int:
@@ -146,10 +148,10 @@ def cmd_extract(args) -> int:
     log.info("extracting %d images from %d classes", len(records), len(classes))
 
     results = _pmap(_extract_one, [(f, args.size, params) for *_, f in records], args.jobs)
-    for _, err in results:
+    for *_, err in results:
         if err:
             print(f"error: {err}", file=sys.stderr)
-    good = [(label, ident, vals) for (label, ident, _), (vals, err) in zip(records, results)
+    good = [(label, ident, vals) for (label, ident, _), (vals, _, err) in zip(records, results)
             if not err]
     if good:
         labels, ids, feats = zip(*good)
@@ -215,9 +217,9 @@ def cmd_encode(args) -> int:
         ids, feats = arch.ids, arch.features
     else:
         ids = list(args.inputs)
-        feats, errs = zip(*(_extract_one(p, args.size, model.params) for p in ids))
+        feats, _, errs = zip(*(_extract_one(p, args.size, model.params) for p in ids))
         if any(errs):
-            raise ValueError(next(filter(None, errs)))
+            raise next(filter(None, errs))
     _write_rows(args.output, [f"c{i}" for i in range(model.output_dim)], ids,
                 hppca.encode_batch(model, feats), "code")
     print(f"encoded {len(ids)} inputs -> {args.output}", file=sys.stderr)
@@ -242,9 +244,11 @@ def cmd_synth(args) -> int:
     if (args.input is None) == (args.code is None):
         raise ValueError("exactly one of --input or --code is required")
     if args.input:
-        img = _prepare_image(args.input, args.size)
-        code = hppca.encode(model, pss.extract_pss(img, model.params))
-        size = args.synth_size or img.shape[0]
+        stat, side, err = _extract_one(args.input, args.size, model.params)
+        if err:
+            raise err
+        code = hppca.encode(model, pss.PssVector(stat, model.params))
+        size = args.synth_size or side
     else:
         ids, codes = _load_codes(args.code)
         if not 0 <= args.row < len(ids):

@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,13 +183,6 @@ def _skew_kurt_backward(aux, g_skew, g_kurt):
     return cot
 
 
-def _lag_basis(size, m):
-    """cos and sin of lag * frequency, (m, size) each, lags -h..h, fftshift order."""
-    h = (m - 1) // 2
-    phase = np.outer(np.arange(-h, h + 1), 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(size)))
-    return np.cos(phase), np.sin(phase)
-
-
 def _cov_to_corr(cov, vara, varb):
     """Pearson matrix from a covariance matrix."""
     ok = np.outer(vara >= VAR_EPS, varb >= VAR_EPS)
@@ -206,17 +200,26 @@ def _corr_weights(vara, varb, rho, g):
             _flat_safe(gr.sum(axis=1), vara, oka), _flat_safe(gr.sum(axis=0), varb, okb))
 
 
-def _level_plan(size, n_sc, n_or):
-    """(crop, lag rows, Gram rows) of each level 0..N.
+@lru_cache(maxsize=16)
+def _level_plan(size, params: PssParams):
+    """(crop side, lag rows, Gram rows, cos, sin) of each level 0..N.
 
     Level L < N holds the scale-(L+1) band and scale transfers, level N the
     low-pass ones; `TransferStack` keeps level L's transfers on its size >> L crop.
+    cos, sin: (M, side), of lags -h..h times the crop's frequencies k/size, fftshifted; frozen.
     """
+    n_sc, n_or, h = params.n_scales, params.n_orientations, params.neighborhood // 2
+    plan = []
     for lev in range(n_sc + 1):
-        q = (size - (size >> lev)) // 2
+        side = size >> lev
         bands = range(lev * n_or, (lev + 1) * n_or) if lev < n_sc else ()
-        yield (slice(q, size - q), [*bands, n_sc * n_or + lev],
-               slice(lev * n_or, (lev + 1) * n_or))
+        phase = np.outer(np.arange(-h, h + 1),
+                         2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(side, size / side)))
+        rows, cos, sin = np.array([*bands, n_sc * n_or + lev]), np.cos(phase), np.sin(phase)
+        for arr in (rows, cos, sin):
+            arr.flags.writeable = False
+        plan.append((side, rows, slice(lev * n_or, (lev + 1) * n_or), cos, sin))
+    return tuple(plan)
 
 
 def _interp_spectra(spec):
@@ -239,12 +242,6 @@ def _ri(z):
     """Complex rows as interleaved (re, im) real rows: numpy's real matmuls
     are far faster than its complex or mixed ones."""
     return np.ascontiguousarray(z).view(np.float64)
-
-
-def _interp_block(spec, small):
-    """The block of a finer spectrum stack _interp_spectra fills (_crop floors odd sides)."""
-    q = (spec.shape[-1] - small) // 2
-    return spec[:, q:q + small + 1, q:q + small + 1]
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +289,11 @@ def _forward(img, params: PssParams):
 
     # C3 + C4 lag maps of the power-weighted transfers and the C6 + C7
     # covariances (the Gram block "levels <= L by level L"), each on crop L
-    cc.lag_basis = cos, sin = _lag_basis(size, m)
     lag = np.empty((n_sc * n_or + n_sc + 1, m, m))
     cov = np.empty(((n_sc + 1) * n_or,) * 2)
-    for i, (crop, rows, lev) in enumerate(_level_plan(size, n_sc, n_or)):
-        pw = power[crop, crop]
+    for i, (side, rows, lev, cs, sn) in enumerate(_level_plan(size, params)):
+        pw = _crop(power, side)
         weighted = stack.acorr_power[i] * pw
-        cs, sn = cos[:, crop], sin[:, crop]
         lag[rows] = (cs @ weighted @ cs.T - sn @ weighted @ sn.T) / npix
         t = stack.corr_recon[i].reshape(lev.stop, -1)
         cov[:lev.stop, lev] = (t * pw.ravel()) @ t[lev].T / npix ** 2
@@ -324,14 +319,14 @@ def _forward(img, params: PssParams):
         cc.mag_var.append(np.diag(cov5).copy())
         cc.c8[n, n] = _cov_to_corr(cov5, cc.mag_var[n], cc.mag_var[n])
 
-    # across scales: coarser magnitudes interpolated onto the finer grid,
-    # an inner product over the (sc+1)-square block the interpolant occupies
+    # across scales: coarser magnitudes interpolated onto the finer grid, an inner product
+    # over the interpolant's (sc+1)-square block: the (sc+2) crop less its first row and column
     cc.interp = {}
     for coarse in range(1, n_sc):
         u = _interp_spectra(cc.mag_spec[coarse]).reshape(n_or, -1)
         cc.interp[coarse] = u, np.sum(_ri(u) ** 2, axis=1)
         for fine in range(coarse):
-            a = _interp_block(cc.mag_spec[fine], size >> coarse).reshape(n_or, -1)
+            a = _crop(cc.mag_spec[fine], (size >> coarse) + 2)[:, 1:, 1:].reshape(n_or, -1)
             cc.c8[fine, coarse] = _cov_to_corr(_ri(a) @ _ri(u).T / (size >> fine) ** 2,
                                                cc.mag_var[fine], cc.interp[coarse][1])
             cc.c8[coarse, fine] = cc.c8[fine, coarse].T
@@ -388,7 +383,6 @@ def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
 
     # C3, C4, C6, C7 and C10 are (1/npix^2) sum(w * power); collect one w,
     # the terms of each level on its crop
-    cos, sin = cc.lag_basis
     g34 = dvalues[params.group_slice(3).start:params.group_slice(4).stop]
     gl = g34.reshape(-1, m, m) * cc.lag_scale[:, None, None]
     g0 = (gl * cc.acorr).sum(axis=(1, 2))[:, None, None]
@@ -399,8 +393,7 @@ def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
     mix, da, db = _corr_weights(cc.var20, cc.var20, cc.rho20, g20)
     mix[np.diag_indices_from(mix)] -= (da + db) / 2.0
     weight = g[9][0] * stack.high_recon ** 2
-    for i, (crop, rows, lev) in enumerate(_level_plan(size, n_sc, n_or)):
-        cs, sn = cos[:, crop], sin[:, crop]
+    for i, (side, rows, lev, cs, sn) in enumerate(_level_plan(size, params)):
         kernel = cs.T @ gl[rows] @ cs - sn.T @ gl[rows] @ sn - g0[rows]
         part = np.einsum("jyx,jyx->yx", stack.acorr_power[i], kernel)
         # sum(mix_ij t_i t_j) over the pairs whose coarser level is L
@@ -408,14 +401,13 @@ def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
         coef[lev] = mix[lev, lev]
         t = stack.corr_recon[i].reshape(lev.stop, -1)
         part += ((coef.T @ t) * t[lev]).sum(axis=0).reshape(part.shape)
-        weight[crop, crop] += part
+        _crop(weight, side)[...] += part
     weight[dc, dc] = 0.0
     spec_cot = (2.0 / npix) * weight * cc.spec
 
     # C2: per-level moments through the level transfers
     for t, aux, (gs, gk) in zip((*stack.scale_recon, stack.low_recon), cc.aux2, g[1]):
-        inner = _crop(spec_cot, t.shape[0])
-        inner += t * _rfft(_skew_kurt_backward(aux, gs, gk), t.shape[0])
+        _crop(spec_cot, t.shape[0])[...] += t * _rfft(_skew_kurt_backward(aux, gs, gk), t.shape[0])
 
     # cross-scale C8 entries: the forward's spectral inner products,
     # differentiated; each grid's spectral cotangent is summed first
@@ -427,9 +419,9 @@ def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
             w, da, db = _corr_weights(cc.mag_var[fine], varb, cc.c8[fine, coarse],
                                       g[7][fine, coarse] + g[7][coarse, fine].T)
             dvar[fine] = dvar[fine] + da
-            a = _interp_block(cc.mag_spec[fine], size >> coarse)
-            blk = _interp_block(cot_spec[fine], size >> coarse)
-            blk += (w @ _ri(u)).view(complex).reshape(a.shape)
+            a = _crop(cc.mag_spec[fine], (size >> coarse) + 2)[:, 1:, 1:]
+            _crop(cot_spec[fine], (size >> coarse) + 2)[:, 1:, 1:] += (
+                w @ _ri(u)).view(complex).reshape(a.shape)
             u_cot = (w.T @ _ri(a.reshape(n_or, -1))).view(complex) / (size >> fine) ** 2
             u_cot -= db[:, None] * u
             cot_spec[coarse] += u_cot.reshape(a.shape)[:, :-1, :-1]
@@ -443,8 +435,8 @@ def _backward(cc, dvalues: np.ndarray) -> np.ndarray:
         mix = (w + w.T - np.diag(da + db + dvar[n])) / side ** 2
         cot_spec[n] += (mix @ _ri(ms.reshape(n_or, -1))).view(complex).reshape(ms.shape)
         unit = _flat_safe(1.0, mg, mg > VAR_EPS)
-        inner = _crop(spec_cot, side)
-        inner += stack.band_grid_adjoint(_ifft(cot_spec[n]).real * unit * cc.bands[n], n + 1)
+        _crop(spec_cot, side)[...] += stack.band_grid_adjoint(
+            _ifft(cot_spec[n]).real * unit * cc.bands[n], n + 1)
 
     grad += _ifft(spec_cot).real
     if not np.isfinite(grad).all():

@@ -312,7 +312,7 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, index, image_i
                / max(np.linalg.norm(v.values), 1e-300))
     for rel in rel_err:  # also catches every non-finite decoded value
         if not np.isfinite(rel):
-            raise NumericError(f"{image_id}: decoded statistic has relative error {rel}")
+            raise NumericError(f"image {image_id}: decoded statistic has relative error {rel}")
     if cfg.iterations == 0:
         tss = np.array(sample_grid_tss(_unit_noise(run_cfg), a, patch_size,
                                        [_noise_moments(d) for d in decoded])[0])
@@ -321,5 +321,5 @@ def evaluate_image(models, cfg: SynthesisConfig, patch_size: int, index, image_i
                         for d in decoded])
     for score in tss:
         if not np.isfinite(score):
-            raise NumericError(f"{image_id}: TSS is {score}")
+            raise NumericError(f"image {image_id}: TSS is {score}")
     return tss, rel_err

@@ -323,6 +323,20 @@ class TestEncodeDecode:
             f"error: {odd}: image side must be a power of two, got 48\n"
         assert not out.exists()
 
+    def test_numeric_failure_of_an_image_exits_three_naming_it(self, trained, tmp_path,
+                                                               capsys, monkeypatch):
+        root, _, model_path = trained
+        src, out = root / "alpha" / "a0.pgm", tmp_path / "codes.csv"
+
+        def non_finite(img, params):
+            raise pss.NumericError("non-finite statistic at flat index 7")
+
+        monkeypatch.setattr(pss, "_forward", non_finite)
+        assert run("encode", model_path, src, "-o", out, "--size", "32") == 3
+        assert capsys.readouterr().err == \
+            f"numeric failure: {src}: non-finite statistic at flat index 7\n"
+        assert not out.exists()
+
     def test_archive_is_told_by_its_magic(self, trained, tmp_path):
         _, arch, model_path = trained
         copy, a, b = tmp_path / "feats.bin", tmp_path / "a.csv", tmp_path / "b.csv"
@@ -450,6 +464,15 @@ class TestSynth:
         assert run("synth", model_path, "--code", codes, "-o", out, "--iterations", "0",
                    *flags) == 0
         assert image.load_image(out).shape == (side, side)
+
+    def test_input_it_cannot_use_is_named(self, trained, tmp_path, capsys):
+        _, _, model_path = trained
+        odd, out = tmp_path / "odd.pgm", tmp_path / "s.pgm"
+        image.save_image(np.full((48, 48), 100.0), odd)
+        assert run("synth", model_path, "--input", odd, "-o", out, "--size", "0") == 2
+        assert capsys.readouterr().err == \
+            f"error: {odd}: image side must be a power of two, got 48\n"
+        assert not out.exists()
 
     def test_negative_synth_size_fails_naming_it(self, trained, tmp_path, capsys):
         root, _, model_path = trained
@@ -857,6 +880,20 @@ class TestInfoAndExitCodes:
         assert capsys.readouterr().err.endswith(
             "error: out of memory: Unable to allocate 8. KiB for an array\n")
         assert not report.exists()
+
+    def test_out_of_memory_in_extract_exits_two_naming_it_once(self, pgm_dataset, tmp_path,
+                                                                capsys, monkeypatch):
+        out = tmp_path / "f.pssa"
+
+        def exhausted(img, params):
+            raise MemoryError("Unable to allocate 8. KiB for an array")
+
+        monkeypatch.setattr(pss, "_forward", exhausted)
+        assert run("extract", pgm_dataset, "-o", out, *PARAMS, "--jobs", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert err.endswith("error: out of memory: Unable to allocate 8. KiB for an array\n")
+        assert not out.exists()
 
     def test_bands_dump(self, pgm_dataset, tmp_path):
         out = tmp_path / "bands"

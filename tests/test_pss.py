@@ -180,6 +180,31 @@ class TestStatisticValues:
             pss._backward(cache, np.full(pss.pss_dim(params), np.inf))
 
 
+class TestLevelPlan:
+    def test_plan_is_cached_per_size_and_parameters(self):
+        assert pss._level_plan(64, PssParams(3, 4, 7)) is pss._level_plan(64, PssParams(3, 4, 7))
+
+    def test_plan_arrays_are_read_only(self):
+        for _, rows, _, cos, sin in pss._level_plan(32, PssParams(2, 3, 5)):
+            for arr in (rows, cos, sin):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    @pytest.mark.parametrize("size,n,k,m", [(16, 1, 1, 3), (64, 3, 4, 7), (128, 4, 4, 7),
+                                            (256, 2, 6, 9)])
+    def test_level_basis_is_the_column_crop_of_the_full_size_basis(self, size, n, k, m):
+        # lags -h..h times the full spectrum's fftshifted frequencies, bit for bit
+        h = m // 2
+        phase = np.outer(np.arange(-h, h + 1),
+                         2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(size)))
+        plan = pss._level_plan(size, PssParams(n, k, m))
+        assert [side for side, *_ in plan] == [size >> lev for lev in range(n + 1)]
+        for side, _, _, cos, sin in plan:
+            cols = slice((size - side) // 2, (size + side) // 2)
+            assert np.array_equal(cos, np.cos(phase)[:, cols])
+            assert np.array_equal(sin, np.sin(phase)[:, cols])
+
+
 def upsample(img, size):
     """Band-limited interpolation onto a finer grid: zero-padded spectrum."""
     small = img.shape[0]

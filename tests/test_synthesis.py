@@ -456,7 +456,8 @@ class TestEvaluateImage:
             v.values[10] = np.inf
             return v
         monkeypatch.setattr(hppca, "decode", non_finite)
-        with pytest.raises(pss.NumericError, match="relative error inf"):
+        with pytest.raises(pss.NumericError,
+                           match=r"^image img0: decoded statistic has relative error inf$"):
             synthesis.evaluate_image([model], SynthesisConfig(iterations=0), 9, 0, *imgs[0])
 
 
